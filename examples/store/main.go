@@ -1,8 +1,8 @@
 // Store: the storage side of the architecture — split documents into
 // compressed skeletons plus XMILL-style value containers, persist them as
 // a directory of archives, and serve repeated queries from the archive
-// store: lazy decode into an LRU cache, string conditions distilled by
-// replaying archive events, no XML anywhere on the serve path. This is
+// store: lazy decode into an LRU cache, string conditions distilled by a
+// direct walk of the value containers, no XML anywhere on the serve path. This is
 // the library face of what cmd/xcserve exposes over HTTP.
 //
 //	go run ./examples/store

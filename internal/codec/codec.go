@@ -33,7 +33,6 @@ package codec
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,76 +125,53 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// crcReader hashes exactly the bytes the decoder consumes. It sits
-// above the buffered reader on purpose: wrapping below it would hash
-// the read-ahead, folding the footer (or trailing garbage) into the
-// checksum it is supposed to verify.
-type crcReader struct {
-	br  *bufio.Reader
-	sum uint32
-	off bool // set once the body ends, so footer bytes stay unhashed
+// decoder reads the format from one in-memory slice.
+type decoder struct {
+	buf []byte
+	off int
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	if n > 0 && !c.off {
-		c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, d.off)
 	}
-	return n, err
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil && !c.off {
-		var one = [1]byte{b}
-		c.sum = crc32.Update(c.sum, crc32.IEEETable, one[:])
-	}
-	return b, err
-}
-
-type reader struct {
-	r *crcReader
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	d.off += n
 	return v, nil
 }
 
-func (r *reader) length() (int, error) {
-	v, err := r.uvarint()
+// count reads a length or item count and bounds it by the bytes left:
+// each counted item occupies at least minBytes of them, so nothing sized
+// by a count can outgrow the input by more than a constant factor. A
+// corrupt count fails here instead of allocating.
+func (d *decoder) count(minBytes int) (int, error) {
+	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > maxLen {
-		return 0, fmt.Errorf("%w: length %d too large", ErrCorrupt, v)
+	if left := len(d.buf) - d.off; v > maxLen || v > uint64(left/minBytes) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorrupt, v, left)
 	}
 	return int(v), nil
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.length()
+// bytes reads a length-prefixed string as a subslice of the input.
+func (d *decoder) bytes() ([]byte, error) {
+	n, err := d.count(1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return string(buf), nil
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b, nil
 }
 
-func (r *reader) expect(magic string) error {
-	buf := make([]byte, len(magic))
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+func (d *decoder) expect(magic string) error {
+	got := d.buf[d.off:min(len(d.buf), d.off+len(magic))]
+	if string(got) != magic {
+		return fmt.Errorf("%w: bad magic %q, want %q", ErrCorrupt, got, magic)
 	}
-	if string(buf) != magic {
-		return fmt.Errorf("%w: bad magic %q, want %q", ErrCorrupt, buf, magic)
-	}
+	d.off += len(magic)
 	return nil
 }
 
@@ -235,83 +211,86 @@ func encodeInstance(bw *writer, in *dag.Instance) {
 }
 
 // DecodeInstance reads an instance from r and validates its invariants.
+// Bytes after the instance are ignored.
 func DecodeInstance(r io.Reader) (*dag.Instance, error) {
-	br := &reader{r: &crcReader{br: bufio.NewReader(r), off: true}}
-	in, err := decodeInstance(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("codec: reading instance: %w", err)
 	}
-	return in, nil
+	return decodeInstance(&decoder{buf: data})
 }
 
-func decodeInstance(br *reader) (*dag.Instance, error) {
-	if err := br.expect(instanceMagic); err != nil {
+func decodeInstance(d *decoder) (*dag.Instance, error) {
+	if err := d.expect(instanceMagic); err != nil {
 		return nil, err
 	}
-	v, err := br.uvarint()
+	v, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if v != version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	nSchema, err := br.length()
+	nSchema, err := d.count(1) // a length byte per name
 	if err != nil {
 		return nil, err
 	}
 	schema := label.NewSchema()
 	for i := 0; i < nSchema; i++ {
-		name, err := br.str()
+		name, err := d.bytes()
 		if err != nil {
 			return nil, err
 		}
-		if schema.Intern(name) != label.ID(i) {
+		if schema.Intern(string(name)) != label.ID(i) {
 			return nil, fmt.Errorf("%w: duplicate schema name %q", ErrCorrupt, name)
 		}
 	}
-	nVerts, err := br.length()
+	nVerts, err := d.count(2) // a label count and an edge count per vertex
 	if err != nil {
 		return nil, err
 	}
-	rootPlus1, err := br.uvarint()
+	rootPlus1, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if rootPlus1 > uint64(nVerts) {
 		return nil, fmt.Errorf("%w: root %d out of range", ErrCorrupt, rootPlus1)
 	}
-	in := &dag.Instance{
-		Verts:  make([]dag.Vertex, nVerts),
-		Root:   dag.VertexID(rootPlus1) - 1,
-		Schema: schema,
-	}
+	// The label words and edges of all vertices share one backing array
+	// each; ends records where each vertex's share stops.
+	var words []uint64
+	var edges []dag.Edge
+	ends := make([]int, 2*nVerts)
 	for i := 0; i < nVerts; i++ {
-		nLabels, err := br.length()
+		nLabels, err := d.count(1)
 		if err != nil {
 			return nil, err
 		}
-		var ls label.Set
+		base := len(words)
 		for j := 0; j < nLabels; j++ {
-			id, err := br.uvarint()
+			id, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
 			if id >= uint64(nSchema) {
 				return nil, fmt.Errorf("%w: label %d out of schema range", ErrCorrupt, id)
 			}
-			ls = ls.Set(label.ID(id))
+			w := base + int(id/64)
+			for len(words) <= w {
+				words = append(words, 0)
+			}
+			words[w] |= 1 << (id % 64)
 		}
-		nEdges, err := br.length()
+		nEdges, err := d.count(2) // a child and a multiplicity per edge
 		if err != nil {
 			return nil, err
 		}
-		edges := make([]dag.Edge, nEdges)
 		for j := 0; j < nEdges; j++ {
-			child, err := br.uvarint()
+			child, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			count, err := br.uvarint()
+			count, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
@@ -321,9 +300,25 @@ func decodeInstance(br *reader) (*dag.Instance, error) {
 			if count == 0 || count > math.MaxUint32 {
 				return nil, fmt.Errorf("%w: edge multiplicity %d invalid", ErrCorrupt, count)
 			}
-			edges[j] = dag.Edge{Child: dag.VertexID(child), Count: uint32(count)}
+			edges = append(edges, dag.Edge{Child: dag.VertexID(child), Count: uint32(count)})
 		}
-		in.Verts[i] = dag.Vertex{Edges: edges, Labels: ls}
+		ends[2*i], ends[2*i+1] = len(words), len(edges)
+	}
+	in := &dag.Instance{
+		Verts:  make([]dag.Vertex, nVerts),
+		Root:   dag.VertexID(rootPlus1) - 1,
+		Schema: schema,
+	}
+	var w0, e0 int
+	for i := range in.Verts {
+		w1, e1 := ends[2*i], ends[2*i+1]
+		if w1 > w0 {
+			in.Verts[i].Labels = words[w0:w1:w1]
+		}
+		if e1 > e0 {
+			in.Verts[i].Edges = edges[e0:e1:e1]
+		}
+		w0, e0 = w1, e1
 	}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -362,106 +357,144 @@ func EncodeArchive(w io.Writer, a *container.Archive) error {
 	return err
 }
 
-// DecodeArchive reads a container archive.
+// DecodeArchive reads a container archive from r: a read-all wrapper
+// over DecodeArchiveBytes.
 func DecodeArchive(r io.Reader) (*container.Archive, error) {
-	store := container.NewStore()
-	skel, err := decodeArchive(r, func(key, chunk string) {
-		store.Append(key, chunk)
-	})
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("codec: reading archive: %w", err)
+	}
+	return DecodeArchiveBytes(data)
+}
+
+// DecodeArchiveBytes decodes an archive held fully in memory — a whole
+// archive file, or the payload slice of one bundle needle. The archive
+// does not retain data.
+func DecodeArchiveBytes(data []byte) (*container.Archive, error) {
+	skel, store, err := decodeArchive(data, true)
 	if err != nil {
 		return nil, err
 	}
 	return &container.Archive{Skeleton: skel, Store: store}, nil
 }
 
-// decodeArchive decodes the archive framing, handing every container chunk
-// to sink in encoding order. It is shared by DecodeArchive (which retains
-// the chunks) and StatArchive (which only tallies them).
-func decodeArchive(r io.Reader, sink func(key, chunk string)) (*dag.Instance, error) {
-	cr := &crcReader{br: bufio.NewReader(r)}
-	br := &reader{r: cr}
-	if err := br.expect(archiveMagic); err != nil {
-		return nil, err
+// decodeArchive is the one archive decoder. A version-2 archive's footer
+// checksum is verified over the whole body before anything is parsed;
+// the body is then decoded in place. With keep, the value containers are
+// returned too, every key and chunk a substring of one string copied
+// from the container section; without, they are only checked.
+func decodeArchive(data []byte, keep bool) (*dag.Instance, *container.Store, error) {
+	d := &decoder{buf: data}
+	if err := d.expect(archiveMagic); err != nil {
+		return nil, nil, err
 	}
-	v, err := br.uvarint()
+	v, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if v != version && v != archiveVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	switch v {
+	case archiveVersion:
+		// The footer is mandatory: an optional one would let a corrupted
+		// length field swallow it into a value chunk and pass the
+		// truncation off as a legacy archive.
+		if len(data)-d.off < footerLen {
+			return nil, nil, fmt.Errorf("%w: truncated checksum footer", ErrCorrupt)
+		}
+		body := data[:len(data)-footerLen]
+		if err := checkFooter(body, data[len(body):]); err != nil {
+			return nil, nil, err
+		}
+		d.buf = body
+	case version:
+		// Legacy: structural checks are all the protection it ever had.
+	default:
+		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	skel, err := decodeInstance(br)
+	skel, err := decodeInstance(d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	nCont, err := br.length()
+	var store *container.Store
+	var section string
+	start := d.off
+	if keep {
+		store = container.NewStore()
+		section = string(d.buf[start:])
+	}
+	nCont, err := d.count(2) // a key length and a chunk count per container
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < nCont; i++ {
-		key, err := br.str()
+		key, err := d.bytes()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		nChunks, err := br.length()
+		keyEnd := d.off - start
+		nChunks, err := d.count(1) // a length byte per chunk
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		var chunks []string
+		if keep {
+			chunks = make([]string, nChunks)
 		}
 		for j := 0; j < nChunks; j++ {
-			chunk, err := br.str()
+			chunk, err := d.bytes()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			sink(key, chunk)
+			if keep {
+				chunks[j] = section[d.off-start-len(chunk) : d.off-start]
+			}
+		}
+		if keep {
+			store.AppendChunks(section[keyEnd-len(key):keyEnd], chunks)
 		}
 	}
-	// Body done: verify the checksum footer. Version-1 archives end
-	// right here (clean EOF); for version 2 the footer is mandatory —
-	// an "optional" footer would let a corrupted length field swallow
-	// it into a value chunk and pass the truncation off as legacy.
-	cr.off = true
-	var foot [footerLen]byte
-	n, err := io.ReadFull(cr.br, foot[:])
-	switch {
-	case n == 0 && err == io.EOF && v == version:
-		// Legacy version-1 archive: structural checks are all the
-		// protection it ever had; accept it.
-	case err != nil:
-		return nil, fmt.Errorf("%w: truncated checksum footer", ErrCorrupt)
-	case string(foot[:4]) != footerMagic:
-		return nil, fmt.Errorf("%w: trailing bytes after archive body", ErrCorrupt)
-	case binary.LittleEndian.Uint32(foot[4:]) != cr.sum:
-		return nil, fmt.Errorf("%w: archive checksum mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, binary.LittleEndian.Uint32(foot[4:]), cr.sum)
-	default:
-		if _, err := cr.br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("%w: trailing bytes after checksum footer", ErrCorrupt)
+	if rest := d.buf[d.off:]; len(rest) > 0 {
+		// A version-1 body may carry the footer the format once had as
+		// optional; anything else after the body is corruption.
+		if v != version || len(rest) != footerLen {
+			return nil, nil, fmt.Errorf("%w: trailing bytes after archive body", ErrCorrupt)
+		}
+		if err := checkFooter(d.buf[:d.off], rest); err != nil {
+			return nil, nil, err
 		}
 	}
-	return skel, nil
+	return skel, store, nil
+}
+
+// checkFooter verifies that foot is the checksum footer of body.
+func checkFooter(body, foot []byte) error {
+	if string(foot[:len(footerMagic)]) != footerMagic {
+		return fmt.Errorf("%w: missing checksum footer", ErrCorrupt)
+	}
+	stored, computed := binary.LittleEndian.Uint32(foot[len(footerMagic):]), crc32.ChecksumIEEE(body)
+	if stored != computed {
+		return fmt.Errorf("%w: archive checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, stored, computed)
+	}
+	return nil
 }
 
 // DecodeSkeleton reads an encoded archive but materialises only its
-// skeleton, streaming past the value containers without retaining them.
-// This is what the archive store's synopsis builder uses to summarise an
-// un-sidecared archive: the skeleton is a few percent of the archive, so
-// the pass stays cheap even on value-heavy documents.
+// skeleton, checking the value containers without retaining them. This
+// is what the archive store's synopsis builder uses to summarise an
+// un-sidecared archive.
 func DecodeSkeleton(r io.Reader) (*dag.Instance, error) {
-	return decodeArchive(r, func(string, string) {})
-}
-
-// DecodeArchiveBytes decodes an archive held fully in memory — the read
-// path of the bundled cold tier, where a pread hands back the exact
-// payload slice of one needle.
-func DecodeArchiveBytes(data []byte) (*container.Archive, error) {
-	return DecodeArchive(bytes.NewReader(data))
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("codec: reading archive: %w", err)
+	}
+	return DecodeSkeletonBytes(data)
 }
 
 // DecodeSkeletonBytes is DecodeSkeleton over an in-memory payload (used
 // to rebuild the synopsis of a bundled document that was packed without
-// a usable sidecar).
+// a usable sidecar, and by the scrubber).
 func DecodeSkeletonBytes(data []byte) (*dag.Instance, error) {
-	return DecodeSkeleton(bytes.NewReader(data))
+	skel, _, err := decodeArchive(data, false)
+	return skel, err
 }
 
 // ContainerStat describes one value container of an archive.
@@ -471,7 +504,7 @@ type ContainerStat struct {
 	Bytes  int64  // summed value length
 }
 
-// ArchiveStat summarises an encoded archive without materialising it.
+// ArchiveStat summarises an encoded archive.
 type ArchiveStat struct {
 	SkeletonVertices int
 	SkeletonEdges    int
@@ -481,31 +514,27 @@ type ArchiveStat struct {
 	ValueBytes       int64           // total across containers
 }
 
-// StatArchive reads an encoded archive from r and reports its sizes —
-// skeleton dimensions and per-container chunk and byte counts — decoding
-// the value containers in a streaming pass that never retains them. This
-// is the cheap "open and stat" operation the archive store uses to
-// catalogue a directory without paying for full decodes.
+// StatArchive reads an encoded archive from r and reports its sizes:
+// skeleton dimensions and per-container chunk and byte counts.
 func StatArchive(r io.Reader) (*ArchiveStat, error) {
-	st := &ArchiveStat{}
-	index := make(map[string]int)
-	skel, err := decodeArchive(r, func(key, chunk string) {
-		i, ok := index[key]
-		if !ok {
-			i = len(st.Containers)
-			index[key] = i
-			st.Containers = append(st.Containers, ContainerStat{Key: key})
-		}
-		st.Containers[i].Chunks++
-		st.Containers[i].Bytes += int64(len(chunk))
-		st.ValueBytes += int64(len(chunk))
-	})
+	a, err := DecodeArchive(r)
 	if err != nil {
 		return nil, err
 	}
-	st.SkeletonVertices = skel.NumVertices()
-	st.SkeletonEdges = skel.NumEdges()
-	st.TreeSize = skel.TreeSize()
-	st.SchemaLen = skel.Schema.Len()
+	st := &ArchiveStat{
+		SkeletonVertices: a.Skeleton.NumVertices(),
+		SkeletonEdges:    a.Skeleton.NumEdges(),
+		TreeSize:         a.Skeleton.TreeSize(),
+		SchemaLen:        a.Skeleton.Schema.Len(),
+	}
+	for _, key := range a.Store.Keys() {
+		cs := ContainerStat{Key: key}
+		for _, chunk := range a.Store.Chunks(key) {
+			cs.Chunks++
+			cs.Bytes += int64(len(chunk))
+		}
+		st.Containers = append(st.Containers, cs)
+		st.ValueBytes += cs.Bytes
+	}
 	return st, nil
 }

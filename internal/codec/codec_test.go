@@ -2,13 +2,18 @@ package codec_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/codec"
 	"repro/internal/container"
+	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/dagtest"
 	"repro/internal/skeleton"
@@ -159,6 +164,32 @@ func TestPropertyArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArchiveReencodesByteIdentically: decoding keeps every container
+// key and chunk in encoding order, so a decoded archive encodes back to
+// the bytes it came from.
+func TestArchiveReencodesByteIdentically(t *testing.T) {
+	for _, c := range corpus.Catalog() {
+		a, err := container.Split(c.Generate(2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		if err := codec.EncodeArchive(&first, a); err != nil {
+			t.Fatal(err)
+		}
+		back, err := codec.DecodeArchiveBytes(first.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if err := codec.EncodeArchive(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: re-encoded archive differs (%d vs %d bytes)", c.Name, second.Len(), first.Len())
+		}
+	}
+}
+
 // TestEncodedSizeIsCompact sanity-checks that the binary form of a
 // well-compressing document's skeleton is far smaller than the document.
 func TestEncodedSizeIsCompact(t *testing.T) {
@@ -293,5 +324,97 @@ func TestArchiveChecksumFooter(t *testing.T) {
 	mut[len(mut)/2] ^= 0x10
 	if _, err := codec.DecodeSkeleton(bytes.NewReader(mut)); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("DecodeSkeleton accepted a corrupt archive: err = %v", err)
+	}
+}
+
+// craftArchive hand-encodes the archive of <a>hello</a>, with the named
+// count or length field replaced by value (when field is not ""), and a
+// valid footer over whatever body results. It returns the archive and
+// the number of body bytes after the replaced field.
+func craftArchive(field string, value uint64) (data []byte, after int) {
+	var body []byte
+	put := func(name string, v uint64) {
+		replace := name != "" && name == field
+		if replace {
+			v = value
+		}
+		body = binary.AppendUvarint(body, v)
+		if replace {
+			after = len(body)
+		}
+	}
+	str := func(name, s string) {
+		put(name, uint64(len(s)))
+		body = append(body, s...)
+	}
+	body = append(body, "XCA1"...)
+	put("", 2)
+	body = append(body, "XCI1"...)
+	put("", 1)
+	put("nSchema", 2)
+	str("", "tag:a")
+	str("", "text:/a")
+	put("nVerts", 3)
+	put("", 1)       // root + 1: vertex 0, the document
+	put("", 0)       // v0: no labels
+	put("nEdges", 1) // v0 -> v1
+	put("", 1)
+	put("", 1)
+	put("", 1) // v1: tag:a
+	put("", 0)
+	put("", 1) // v1 -> v2
+	put("", 2)
+	put("", 1)
+	put("", 1) // v2: text:/a
+	put("", 1)
+	put("", 0)
+	put("", 1) // one container
+	str("", "/a")
+	put("", 1)
+	str("chunk", "hello")
+	after = len(body) - after
+	foot := binary.LittleEndian.AppendUint32([]byte("XCK1"), crc32.ChecksumIEEE(body))
+	return append(body, foot...), after
+}
+
+// TestDecodeBoundsCountsByInput: a count or length field that promises
+// more items than the bytes left could hold is corrupt, and is rejected
+// before anything sized by it is allocated — a 17-byte archive claiming
+// 2^30-1 vertices once killed the process with an out-of-memory fatal
+// error, reachable from a cache miss, a sidecar rebuild or a replicated
+// frame.
+func TestDecodeBoundsCountsByInput(t *testing.T) {
+	good, _ := craftArchive("", 0)
+	if _, err := codec.DecodeArchiveBytes(good); err != nil {
+		t.Fatalf("hand-encoded archive rejected: %v", err)
+	}
+	const maxLen = 1 << 30
+	var inputs [][]byte
+	for _, field := range []string{"nSchema", "nVerts", "nEdges", "chunk"} {
+		_, after := craftArchive(field, 0)
+		for _, v := range []uint64{maxLen - 1, maxLen, uint64(after) + 1, math.MaxUint64 - 1} {
+			data, _ := craftArchive(field, v)
+			inputs = append(inputs, data)
+		}
+	}
+	// The original 17-byte reproducer (version 2 without its footer),
+	// with a footer, and as a footer-less version 1.
+	repro := []byte("XCA1\x02XCI1\x01\x00\xff\xff\xff\xff\x03\x00")
+	inputs = append(inputs, repro,
+		binary.LittleEndian.AppendUint32(append(append([]byte(nil), repro...), "XCK1"...), crc32.ChecksumIEEE(repro)),
+		append([]byte("XCA1\x01"), repro[5:]...))
+
+	var before, after runtime.MemStats
+	for i, data := range inputs {
+		runtime.ReadMemStats(&before)
+		_, err := codec.DecodeArchiveBytes(data)
+		_, serr := codec.DecodeSkeletonBytes(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, codec.ErrCorrupt) || !errors.Is(serr, codec.ErrCorrupt) {
+			t.Errorf("input %d (% x): err = %v / %v, want ErrCorrupt", i, data, err, serr)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+16<<10) {
+			t.Errorf("input %d: decoding %d bytes allocated %d bytes", i, len(data), grew)
+		}
 	}
 }

@@ -62,10 +62,13 @@ func FuzzDecodeInstance(f *testing.F) {
 	})
 }
 
-// FuzzDecodeArchive: same contract for archives; a decodable archive whose
-// containers match its skeleton must reconstruct without panicking.
+// FuzzDecodeArchive: same contract for archives; every decodable archive
+// must reconstruct, derive its tag skeleton and distil string conditions
+// without panicking (errors are fine: fuzzed containers need not match
+// the skeleton).
 func FuzzDecodeArchive(f *testing.F) {
 	docs := [][]byte{[]byte(`<a/>`), []byte(`<a k="v">t<b>u</b></a>`),
+		[]byte(`<r id="1" lang="ab">x<a k="ab">a<b/>b</a>ab<a k="a"><b>a</b>b</a> </r>`),
 		corpus.OMIM(3, 1), corpus.Shakespeare(1, 1)}
 	for _, doc := range docs {
 		a, err := container.Split(doc)
@@ -77,15 +80,20 @@ func FuzzDecodeArchive(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		// The same body as a footer-less version-1 archive: no checksum
+		// stands between mutations and the derivations.
+		legacy := append([]byte(nil), buf.Bytes()[:buf.Len()-8]...)
+		legacy[4] = 1
+		f.Add(legacy)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := codec.DecodeArchive(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Reconstruction may fail (container/skeleton mismatch in fuzzed
-		// input) but must not panic.
 		var out bytes.Buffer
 		_ = a.Reconstruct(&out)
+		_, _ = a.TagSkeleton()
+		_, _ = a.DistillStrings([]string{"a", "ab"})
 	})
 }

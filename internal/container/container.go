@@ -16,7 +16,9 @@ package container
 
 import (
 	"bufio"
+	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"repro/internal/dag"
@@ -59,6 +61,38 @@ func NewStore() *Store {
 // Append adds a chunk to the container named key, creating it on first
 // use.
 func (s *Store) Append(key, chunk string) {
+	i := s.container(key)
+	s.data[i] = append(s.data[i], chunk)
+}
+
+// AppendChunks adds a run of chunks to the container named key, creating
+// it on first use. A new container keeps the slice itself, so a decoder
+// can hand over chunks cut from one buffer without copying them.
+func (s *Store) AppendChunks(key string, chunks []string) {
+	i := s.container(key)
+	if s.data[i] == nil {
+		s.data[i] = chunks
+		return
+	}
+	s.data[i] = append(s.data[i], chunks...)
+}
+
+// next returns the next unconsumed chunk of container ci and advances its
+// cursor; key names the container in errors.
+func (s *Store) next(ci int, cursors []int, key string) (string, error) {
+	if ci < 0 {
+		return "", fmt.Errorf("container: missing container %q", key)
+	}
+	if cursors[ci] >= len(s.data[ci]) {
+		return "", fmt.Errorf("container: container %q exhausted", key)
+	}
+	chunk := s.data[ci][cursors[ci]]
+	cursors[ci]++
+	return chunk, nil
+}
+
+// container returns the index of the container named key, creating it.
+func (s *Store) container(key string) int {
 	i, ok := s.index[key]
 	if !ok {
 		i = len(s.keys)
@@ -66,7 +100,7 @@ func (s *Store) Append(key, chunk string) {
 		s.keys = append(s.keys, key)
 		s.data = append(s.data, nil)
 	}
-	s.data[i] = append(s.data[i], chunk)
+	return i
 }
 
 // NumContainers returns how many distinct containers exist.
@@ -191,38 +225,71 @@ type vertexInfo struct {
 	kind vertexKind
 	name string // tag name, container key, or attribute name
 	key  string // attr value container key (kindAttr only)
+	// cont indexes the container a text or attribute leaf consumes its
+	// chunk from, resolved once per vertex; -1 when the archive has no
+	// such container.
+	cont int
 }
 
-// classify precomputes per-vertex reconstruction info.
-func classify(in *dag.Instance) ([]vertexInfo, error) {
+// classify precomputes per-vertex reconstruction info. Each schema name
+// is classified by prefix once; a vertex then combines the classes of its
+// labels in ascending ID order.
+func (a *Archive) classify() []vertexInfo {
+	in := a.Skeleton
+	kinds := make([]vertexKind, in.Schema.Len())
+	suffixes := make([]string, in.Schema.Len())
+	for id := range kinds {
+		name := in.Schema.Name(label.ID(id))
+		switch {
+		case strings.HasPrefix(name, attrPrefix):
+			kinds[id], suffixes[id] = kindAttr, name[len(attrPrefix):]
+		case strings.HasPrefix(name, textPrefix):
+			kinds[id], suffixes[id] = kindText, name[len(textPrefix):]
+		case strings.HasPrefix(name, tagPrefix):
+			kinds[id], suffixes[id] = kindElement, name[len(tagPrefix):]
+		default:
+			kinds[id] = kindDoc // not an archive label: ignored
+		}
+	}
 	infos := make([]vertexInfo, len(in.Verts))
 	for i := range in.Verts {
-		info := vertexInfo{kind: kindDoc}
-		for _, id := range in.Verts[i].Labels.Members() {
-			name := in.Schema.Name(id)
-			switch {
-			case strings.HasPrefix(name, attrPrefix):
-				info.kind = kindAttr
-				info.name = name[len(attrPrefix):]
-			case strings.HasPrefix(name, textPrefix):
-				if info.kind == kindAttr {
-					info.key = name[len(textPrefix):]
-				} else {
-					info.kind = kindText
-					info.name = name[len(textPrefix):]
+		info := vertexInfo{kind: kindDoc, cont: -1}
+		for w, word := range in.Verts[i].Labels {
+			for ; word != 0; word &= word - 1 {
+				id := w*64 + bits.TrailingZeros64(word)
+				switch suffix := suffixes[id]; kinds[id] {
+				case kindAttr:
+					info.kind = kindAttr
+					info.name = suffix
+				case kindText:
+					if info.kind == kindAttr {
+						info.key = suffix
+					} else {
+						info.kind = kindText
+						info.name = suffix
+					}
+				case kindElement:
+					if info.kind != kindAttr {
+						info.kind = kindElement
+					}
+					if info.name == "" {
+						info.name = suffix
+					}
 				}
-			case strings.HasPrefix(name, tagPrefix):
-				if info.kind != kindAttr {
-					info.kind = kindElement
-				}
-				if info.name == "" {
-					info.name = name[len(tagPrefix):]
-				}
+			}
+		}
+		key := info.name
+		if info.kind == kindAttr {
+			key = info.key
+		}
+		if info.kind == kindText || info.kind == kindAttr {
+			if ci, ok := a.Store.index[key]; ok {
+				info.cont = ci
 			}
 		}
 		infos[i] = info
 	}
-	return infos, nil
+	return infos
 }
 
 // Reconstruct writes the document the archive represents. The output is

@@ -16,21 +16,15 @@ import (
 // what saxml.Parse emits for the archived document, except that whitespace
 // outside the root element is not replayed (Split drops it).
 //
-// This is what lets skeleton.BuildCompressedFrom distil query instances
-// (including string-condition matching, which runs over the container
-// chunks in stream order) straight from compressed storage: the serving
-// path of Section 6's "cache chunks of compressed instances in secondary
-// storage" never re-parses XML. Reconstruct and ExtractSubtree are the
-// same traversal driven into an XML writer.
+// Reconstruct and ExtractSubtree are this traversal driven into an XML
+// writer. It is also the reference the serving path is tested against:
+// skeleton.BuildCompressedFrom over Events builds, by full replay, the
+// instances TagSkeleton and DistillStrings derive directly.
 func (a *Archive) Events(h saxml.Handler) error {
-	infos, err := classify(a.Skeleton)
-	if err != nil {
-		return err
-	}
 	if a.Skeleton.Root == dag.NilVertex {
 		return nil
 	}
-	return a.replay(a.Skeleton.Root, infos, make([]int, a.Store.NumContainers()), h)
+	return a.replay(a.Skeleton.Root, a.classify(), make([]int, a.Store.NumContainers()), h)
 }
 
 // replay walks the subtree DAG at v in document order, emitting SAX
@@ -40,19 +34,6 @@ func (a *Archive) Events(h saxml.Handler) error {
 // appended by Split.
 func (a *Archive) replay(v dag.VertexID, infos []vertexInfo, cursors []int, h saxml.Handler) error {
 	in := a.Skeleton
-	next := func(key string) (string, error) {
-		i, ok := a.Store.index[key]
-		if !ok {
-			return "", fmt.Errorf("container: missing container %q", key)
-		}
-		if cursors[i] >= len(a.Store.data[i]) {
-			return "", fmt.Errorf("container: container %q exhausted", key)
-		}
-		chunk := a.Store.data[i][cursors[i]]
-		cursors[i]++
-		return chunk, nil
-	}
-
 	var walk func(v dag.VertexID) error
 	walk = func(v dag.VertexID) error {
 		info := infos[v]
@@ -67,7 +48,7 @@ func (a *Archive) replay(v dag.VertexID, infos []vertexInfo, cursors []int, h sa
 			}
 			return nil
 		case kindText:
-			chunk, err := next(info.name)
+			chunk, err := a.Store.next(info.cont, cursors, info.name)
 			if err != nil {
 				return err
 			}
@@ -86,7 +67,7 @@ func (a *Archive) replay(v dag.VertexID, infos []vertexInfo, cursors []int, h sa
 				if infos[e.Child].kind != kindAttr {
 					break attrLoop
 				}
-				val, err := next(infos[e.Child].key)
+				val, err := a.Store.next(infos[e.Child].cont, cursors, infos[e.Child].key)
 				if err != nil {
 					return err
 				}

@@ -31,16 +31,13 @@ func (a *Archive) ExtractSubtree(address string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos, err := classify(a.Skeleton)
-	if err != nil {
-		return nil, err
-	}
-	cons := a.consumption(infos)
-
 	in := a.Skeleton
 	if in.Root == dag.NilVertex {
 		return nil, fmt.Errorf("container: empty archive")
 	}
+	infos := a.classify()
+	cons := a.consumption(infos)
+
 	// offsets[containerIdx] = chunks consumed before the target subtree.
 	offsets := make([]uint64, a.Store.NumContainers())
 	v := in.Root
@@ -98,15 +95,8 @@ func (a *Archive) consumption(infos []vertexInfo) []map[int]uint64 {
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		m := make(map[int]uint64)
-		switch infos[v].kind {
-		case kindText:
-			if ci, ok := a.Store.index[infos[v].name]; ok {
-				m[ci]++
-			}
-		case kindAttr:
-			if ci, ok := a.Store.index[infos[v].key]; ok {
-				m[ci]++
-			}
+		if ci := infos[v].cont; ci >= 0 {
+			m[ci]++
 		}
 		for _, e := range in.Verts[v].Edges {
 			for ci, n := range cons[e.Child] {

@@ -52,7 +52,8 @@ const mergedCacheCap = 8
 // patterns (the skeleton.TagsNone + Strings build) for the same document a
 // Prepared's base instance represents. Document.Prepare distils by
 // re-scanning the XML source; storage-backed documents (internal/store)
-// distil by replaying archive events, with no XML involved. A Distiller
+// distil by a direct walk of the archive's value containers
+// (container.Archive.DistillStrings), with no XML involved. A Distiller
 // must be safe for concurrent use.
 type Distiller func(patterns []string) (*dag.Instance, error)
 

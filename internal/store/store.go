@@ -8,10 +8,13 @@
 //
 // The serving path never touches XML. A cached document is the decoded
 // archive (compressed skeleton + value containers) plus a core.Prepared
-// full-tag instance rebuilt from it; string conditions are distilled by
-// replaying the archive's SAX events (container.Archive.Events) through the
-// same one-pass construction used at parse time, so results are identical
-// to querying the original document, byte for byte.
+// full-tag instance derived from the archive DAG in one pass over its
+// vertices; string conditions are distilled by one direct document-order
+// walk of the value containers. Both produce exactly the instances that
+// replaying the archive's SAX events (container.Archive.Events, kept for
+// reconstruction and as the tests' reference) through the parse-time
+// construction would, so results are identical to querying the original
+// document, byte for byte.
 //
 // Cached documents are immutable, which makes the read path
 // coordination-free: any number of Query/QueryAll calls may run
@@ -63,7 +66,6 @@ import (
 	"repro/internal/label"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/skeleton"
 	"repro/internal/synopsis"
 	"repro/internal/xpath"
 )
@@ -870,20 +872,16 @@ func (s *Store) loadEntry(e *entry, tr *obs.Trace) (*Doc, error) {
 	return d, nil
 }
 
-// loadDoc decodes one archive file and rebuilds its prepared instance by
-// replaying archive events — no XML is parsed or even present.
+// loadDoc reads and decodes one archive file and derives its prepared
+// instance from the archive — no XML is parsed or even present.
 func loadDoc(fsys fault.FS, name, path string) (*Doc, error) {
-	f, err := fsys.Open(path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	a, err := codec.DecodeArchive(f)
-	closeErr := f.Close()
+	a, err := codec.DecodeArchiveBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding %s: %w", path, err)
-	}
-	if closeErr != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, closeErr)
 	}
 	d, err := NewDoc(name, a)
 	if err != nil {
@@ -893,24 +891,20 @@ func loadDoc(fsys fault.FS, name, path string) (*Doc, error) {
 }
 
 // NewDoc builds a servable document from an in-memory archive: the
-// full-tag instance is distilled by replaying the archive's events, and
-// string conditions distil the same way on demand — exactly what
-// decoding an archive file yields, which is what lets the write path
-// (internal/ingest) serve memtable documents that are indistinguishable
-// from archived ones. The archive is retained; the caller must not
-// mutate it afterwards.
+// full-tag instance is derived from the archive DAG
+// (container.Archive.TagSkeleton), and string conditions are distilled
+// on demand by a direct walk of the value containers
+// (container.Archive.DistillStrings). Both equal what replaying the
+// archive's events would build. Decoding an archive file yields exactly
+// this, which is what lets the write path (internal/ingest) serve
+// memtable documents that are indistinguishable from archived ones. The
+// archive is retained; the caller must not mutate it afterwards.
 func NewDoc(name string, a *container.Archive) (*Doc, error) {
-	base, _, err := skeleton.BuildCompressedFrom(a.Events, skeleton.Options{Mode: skeleton.TagsAll})
+	base, err := a.TagSkeleton()
 	if err != nil {
 		return nil, err
 	}
-	prep := core.NewPrepared(base, func(patterns []string) (*dag.Instance, error) {
-		inst, _, err := skeleton.BuildCompressedFrom(a.Events, skeleton.Options{
-			Mode:    skeleton.TagsNone,
-			Strings: patterns,
-		})
-		return inst, err
-	})
+	prep := core.NewPrepared(base, a.DistillStrings)
 	return &Doc{
 		name:     name,
 		archive:  a,

@@ -80,7 +80,7 @@ func TestOpenCatalog(t *testing.T) {
 
 // TestGoldenVsDocument is the end-to-end equivalence gate: for every
 // corpus and every experiment query, the served result (archive decode +
-// event replay + cached instance, no XML on the serve path) must agree
+// derived instances, no XML on the serve path) must agree
 // with core.Document.Query on the original XML — same selected tree
 // count, same addresses.
 func TestGoldenVsDocument(t *testing.T) {

@@ -120,7 +120,13 @@ func (a *Automaton) Offset() int64 { return a.offset }
 // Feed consumes a chunk of the text stream, invoking emit for every pattern
 // occurrence that ends inside the chunk. emit may be nil when only offset
 // accounting is wanted.
-func (a *Automaton) Feed(chunk []byte, emit func(Match)) {
+func (a *Automaton) Feed(chunk []byte, emit func(Match)) { feed(a, chunk, emit) }
+
+// FeedString is Feed over a string chunk, without copying it — how
+// archive container chunks, which are held as strings, reach the matcher.
+func (a *Automaton) FeedString(chunk string, emit func(Match)) { feed(a, chunk, emit) }
+
+func feed[T string | []byte](a *Automaton, chunk T, emit func(Match)) {
 	if len(a.patterns) == 0 {
 		a.offset += int64(len(chunk))
 		return

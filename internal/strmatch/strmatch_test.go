@@ -115,20 +115,26 @@ func TestPropertyAgainstStringsCount(t *testing.T) {
 
 		a := strmatch.New(patterns)
 		got := make([]int, len(patterns))
-		// Feed in random chunks.
+		emit := func(m strmatch.Match) {
+			got[m.Pattern]++
+			// Verify the reported span.
+			if string(text[m.Start:m.End]) != patterns[m.Pattern] {
+				t.Logf("bad span %v for pattern %q", m, patterns[m.Pattern])
+				got[m.Pattern] = -1 << 20
+			}
+		}
+		// Feed in random chunks, mixing byte-slice and string chunks: the
+		// automaton state must carry across both entry points.
 		for pos := 0; pos < len(text); {
 			n := 1 + r.Intn(7)
 			if pos+n > len(text) {
 				n = len(text) - pos
 			}
-			a.Feed(text[pos:pos+n], func(m strmatch.Match) {
-				got[m.Pattern]++
-				// Verify the reported span.
-				if string(text[m.Start:m.End]) != patterns[m.Pattern] {
-					t.Logf("bad span %v for pattern %q", m, patterns[m.Pattern])
-					got[m.Pattern] = -1 << 20
-				}
-			})
+			if r.Intn(2) == 0 {
+				a.Feed(text[pos:pos+n], emit)
+			} else {
+				a.FeedString(string(text[pos:pos+n]), emit)
+			}
 			pos += n
 		}
 
