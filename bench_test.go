@@ -27,7 +27,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/shred"
 	"repro/internal/skeleton"
 	"repro/internal/store"
 	"repro/internal/xpath"
@@ -94,13 +93,11 @@ func BenchmarkFig7Queries(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				f := dag.Freeze(master)
 				var res *engine.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					inst := master.Clone() // engine.Run consumes its input
-					b.StartTimer()
-					res, err = engine.Run(inst, prog)
+					res, err = engine.RunFrozen(f, prog)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -142,12 +139,10 @@ func BenchmarkFigure5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		f := dag.Freeze(master)
 		b.Run(q, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				inst := master.Clone()
-				b.StartTimer()
-				if _, err := engine.Run(inst, prog); err != nil {
+				if _, err := engine.RunFrozen(f, prog); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,12 +190,10 @@ func BenchmarkUpwardOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := dag.Freeze(master)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		inst := master.Clone()
-		b.StartTimer()
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(f, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,6 +245,7 @@ func BenchmarkCompressedVsBaseline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			f := dag.Freeze(master)
 			tree, err := baseline.Build(doc, prog.Strings)
 			if err != nil {
 				b.Fatal(err)
@@ -259,10 +253,7 @@ func BenchmarkCompressedVsBaseline(b *testing.B) {
 
 			b.Run(fmt.Sprintf("%s/Q%d/compressed", name, qi+1), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					inst := master.Clone()
-					b.StartTimer()
-					if _, err := engine.Run(inst, prog); err != nil {
+					if _, err := engine.RunFrozen(f, prog); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -334,71 +325,23 @@ func BenchmarkAblationSharedSubtreeReuse(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("dag", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			inst := compressed.Clone()
-			b.StartTimer()
-			if _, err := engine.Run(inst, prog); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		f    *dag.Frozen
+	}{{"dag", dag.Freeze(compressed)}, {"tree", dag.Freeze(uncompressed)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.RunFrozen(arm.f, prog); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			inst := uncompressed.Clone()
-			b.StartTimer()
-			if _, err := engine.Run(inst, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
-// BenchmarkShreddedAssembly measures the Section 6 chunked-storage path:
-// shredding a document into per-record-group chunks and grafting them back
-// into one compressed instance, versus the direct whole-document build.
-func BenchmarkShreddedAssembly(b *testing.B) {
-	c, err := corpus.ByName("DBLP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := c.Generate(scaled(c.DefaultScale), benchSeed)
-	opts := skeleton.Options{Mode: skeleton.TagsAll}
-
-	b.Run("direct", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := skeleton.BuildCompressed(doc, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shred", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			if _, err := shred.Shred(doc, opts, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	shredded, err := shred.Shred(doc, opts, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("assemble", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := shredded.Assemble(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationMinimizers compares the two M(I) algorithms: the
-// paper's one-table hash-consing (Proposition 2.6) versus the footnote-3
-// height-stratified partition refinement.
+// BenchmarkAblationMinimizers measures computing M(I) from the
+// uncompressed tree with the paper's one-table hash-consing
+// (Proposition 2.6).
 func BenchmarkAblationMinimizers(b *testing.B) {
 	for _, name := range []string{"SwissProt", "TreeBank"} {
 		c, err := corpus.ByName(name)
@@ -413,11 +356,6 @@ func BenchmarkAblationMinimizers(b *testing.B) {
 		b.Run(name+"/hash-consing", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dag.Compress(tree)
-			}
-		})
-		b.Run(name+"/stratified", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dag.CompressStratified(tree)
 			}
 		})
 	}
@@ -441,11 +379,11 @@ func BenchmarkAblationRecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := engine.Run(master.Clone(), prog)
+	res, err := engine.RunFrozen(dag.Freeze(master), prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	grown := res.Instance
+	grown, _ := res.Materialize()
 	b.Run("recompress", func(b *testing.B) {
 		var shrunk int
 		for i := 0; i < b.N; i++ {
@@ -549,49 +487,6 @@ func BenchmarkPreparedVsReparse(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlayVsClone pits the zero-clone read path (Prepared.Run:
-// shared frozen base + pooled per-query overlay) against the pre-overlay
-// serving mode (deep-clone the base, run the consuming engine on the
-// copy) for every tag-only corpus query. allocs/op is the headline
-// number: the clone path allocates O(|document|) per query, the overlay
-// path O(|result|).
-func BenchmarkOverlayVsClone(b *testing.B) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := core.Load(c.Generate(scaled(c.DefaultScale), benchSeed))
-	prep, err := doc.Prepare()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for qi, q := range c.Queries {
-		prog, err := core.Compile(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(prog.Strings) > 0 {
-			continue // the clone path lacks string marks on a tag base
-		}
-		b.Run(fmt.Sprintf("Q%d/clone", qi+1), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(prep.CloneBase(), prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Q%d/overlay", qi+1), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkResultPaths measures decoding a selection back to tree
 // addresses (Figure 7 column 8's traversal).
 func BenchmarkResultPaths(b *testing.B) {
@@ -613,104 +508,14 @@ func BenchmarkResultPaths(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelQuery measures engine.RunParallel fanning one compiled
-// query out over a corpus of documents, sweeping the worker count. On
-// multi-core hardware the wall-clock per op should drop ~linearly up to
-// the core count (the shards share nothing but the read-only program); on
-// a single core all worker counts converge. SwissProt is the largest
-// generated corpus; Q3 mixes a descendant axis with a string condition.
-func BenchmarkParallelQuery(b *testing.B) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const docs = 8
-	prog, err := xpath.CompileQuery(c.Queries[2])
-	if err != nil {
-		b.Fatal(err)
-	}
-	insts := make([]*dag.Instance, docs)
-	var bytesTotal int64
-	for i := range insts {
-		doc := c.Generate(scaled(c.DefaultScale), benchSeed+uint64(i))
-		bytesTotal += int64(len(doc))
-		inst, _, err := skeleton.BuildCompressed(doc, skeleton.Options{
-			Mode: skeleton.TagsListed, Tags: prog.Tags, Strings: prog.Strings,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = inst
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(bytesTotal)
-			var selected uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				clones := make([]*dag.Instance, len(insts))
-				for j, inst := range insts {
-					clones[j] = inst.Clone()
-				}
-				b.StartTimer()
-				merged, err := engine.RunParallel(clones, prog, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				selected = merged.SelectedTree
-			}
-			b.ReportMetric(float64(selected), "selected")
-		})
-	}
-}
-
-// BenchmarkParallelCompress measures dag.CompressParallel (the sharded
-// hash-consing builder fed by level waves) against the sequential
-// minimiser on an uncompressed SwissProt skeleton.
-func BenchmarkParallelCompress(b *testing.B) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := c.Generate(scaled(c.DefaultScale), benchSeed)
-	tree, _, err := skeleton.BuildTree(doc, skeleton.Options{Mode: skeleton.TagsAll})
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := dag.Compress(tree.Clone()).NumVertices()
-	b.Run("sequential", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			in := tree.Clone()
-			b.StartTimer()
-			if got := dag.Compress(in).NumVertices(); got != want {
-				b.Fatalf("compressed to %d vertices, want %d", got, want)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in := tree.Clone()
-				b.StartTimer()
-				if got := dag.CompressParallel(in, workers).NumVertices(); got != want {
-					b.Fatalf("compressed to %d vertices, want %d", got, want)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreQuery measures the archive-store serving path on the
 // largest generated corpus (SwissProt): every corpus query fanned over a
 // packed store with warm caches versus parse-per-query evaluation of the
 // same XML at the same parallelism. The acceptance target is warm serving
-// >= 5x faster than re-parsing for every query — tag-only queries clone
-// the cached instance, and string-condition queries hit the prepared
-// merged-instance memo, so neither touches XML (or even the containers).
+// >= 5x faster than re-parsing for every query — tag-only queries run on
+// the cached frozen instance, and string-condition queries hit the
+// prepared merged-instance memo, so neither touches XML (or even the
+// containers).
 func BenchmarkStoreQuery(b *testing.B) {
 	c, err := corpus.ByName("SwissProt")
 	if err != nil {

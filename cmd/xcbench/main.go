@@ -6,7 +6,6 @@
 //	xcbench -growth          # Theorem 3.6: decompression growth sweep
 //	xcbench -vs              # Section 6: compressed vs uncompressed engine
 //	xcbench -relational      # Introduction: O(C*R) -> O(C+log R) sweep
-//	xcbench -parallel        # parallel fan-out scaling sweep
 //	xcbench -storebench      # archive-store serving vs parse-per-query
 //	xcbench -prunebench      # catalog pruning: mixed store, synopsis index on vs off
 //	xcbench -planbench       # query planning: synopsis-direct answering vs overlay evaluation
@@ -20,12 +19,11 @@
 //
 // -scale multiplies every corpus's default size; -check verifies the
 // paper's qualitative invariants on the Figure 7 rows and exits non-zero
-// on violation. -parallel fans every query of -corpus out over -docs
-// generated documents at worker counts 1..-workers, reporting wall-clock
-// scaling (engine.RunParallel). -storebench packs the same corpus into a
-// temporary archive directory and compares warm cached-store serving
-// (internal/store) against parse-per-query evaluation, sweeping worker
-// counts and cache budgets (full corpus and one quarter of it).
+// on violation. -storebench packs -docs generated documents of -corpus
+// into a temporary archive directory and compares warm cached-store
+// serving (internal/store) against parse-per-query evaluation, sweeping
+// worker counts 1..-workers and cache budgets (full corpus and one
+// quarter of it).
 // -ingestbench streams -docs documents through the write path
 // (internal/ingest) while a fixed query loop runs, reporting write
 // docs/sec, idle vs busy query latency percentiles, and WAL crash-
@@ -83,7 +81,6 @@ func main() {
 		growth     = flag.Bool("growth", false, "run the decompression growth experiment (Theorem 3.6)")
 		vs         = flag.Bool("vs", false, "compare compressed engine vs uncompressed baseline (Section 6)")
 		relational = flag.Bool("relational", false, "run the relational-table compression sweep (Introduction)")
-		parallel   = flag.Bool("parallel", false, "run the parallel fan-out scaling sweep")
 		storebench = flag.Bool("storebench", false, "run the archive-store serving sweep")
 		prunebench = flag.Bool("prunebench", false, "run the mixed-corpus catalog-pruning sweep")
 		planbench  = flag.Bool("planbench", false, "run the mixed-corpus query-planning sweep (synopsis-direct vs overlay)")
@@ -99,8 +96,8 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "corpus size multiplier")
 		seed       = flag.Uint64("seed", 1, "corpus generation seed")
 		check      = flag.Bool("check", false, "verify the paper's qualitative invariants (with -fig7)")
-		corpusName = flag.String("corpus", "SwissProt", "corpus for the parallel/store/ingest sweeps")
-		docs       = flag.Int("docs", 8, "documents in the parallel/store/ingest sweeps")
+		corpusName = flag.String("corpus", "SwissProt", "corpus for the store/ingest sweeps")
+		docs       = flag.Int("docs", 8, "documents in the store/ingest sweeps")
 		workers    = flag.Int("workers", 8, "maximum worker count in the sweeps (doubling from 1)")
 		jsonOut    = flag.Bool("json", false, "emit one JSON object per experiment instead of tables")
 		compare    = flag.Bool("compare", false, "compare two -json trajectory files: xcbench -compare old.json new.json")
@@ -115,9 +112,9 @@ func main() {
 		os.Exit(compareFiles(flag.Arg(0), flag.Arg(1), *maxRegress))
 	}
 	if *all {
-		*fig6, *fig7, *growth, *vs, *relational, *parallel, *storebench, *prunebench, *planbench, *ingbench, *bundbench, *obsbench, *faultbench, *clustbench = true, true, true, true, true, true, true, true, true, true, true, true, true, true
+		*fig6, *fig7, *growth, *vs, *relational, *storebench, *prunebench, *planbench, *ingbench, *bundbench, *obsbench, *faultbench, *clustbench = true, true, true, true, true, true, true, true, true, true, true, true, true
 	}
-	if !*fig6 && !*fig7 && !*growth && !*vs && !*relational && !*parallel && !*storebench && !*prunebench && !*planbench && !*ingbench && !*bundbench && !*obsbench && !*faultbench && !*clustbench {
+	if !*fig6 && !*fig7 && !*growth && !*vs && !*relational && !*storebench && !*prunebench && !*planbench && !*ingbench && !*bundbench && !*obsbench && !*faultbench && !*clustbench {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -210,16 +207,6 @@ func main() {
 					r.EngineEval.Round(time.Microsecond), r.BaselineEval.Round(time.Microsecond),
 					float64(r.BaselineEval)/float64(r.EngineEval), r.Selected)
 			}
-			fmt.Println()
-		})
-	}
-
-	if *parallel {
-		rows, err := experiments.ParallelSweep(*corpusName, *docs, *scale, *seed, counts)
-		cli.Fatal(err)
-		emit("parallel", rows, func() {
-			fmt.Printf("=== Parallel fan-out: %s x %d documents, engine.RunParallel worker sweep ===\n", *corpusName, *docs)
-			experiments.PrintParallel(os.Stdout, rows)
 			fmt.Println()
 		})
 	}

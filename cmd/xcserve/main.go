@@ -42,9 +42,9 @@
 // turns the index off.
 //
 // Because cached documents are immutable, the read path needs no locking:
-// every request handler goroutine queries its own copy-on-evaluate
-// instance, and fan-outs spread over a bounded worker pool
-// (engine.RunParallel) sized by -workers. On SIGINT/SIGTERM the server
+// every request evaluates on the shared frozen instance through its own
+// pooled overlay, and fan-outs spread over a bounded worker pool
+// (engine.ForEachCtx) sized by -workers. On SIGINT/SIGTERM the server
 // stops accepting connections, drains in-flight queries, and flushes the
 // ingest WAL into archives before exiting.
 package main

@@ -69,11 +69,11 @@ func run() error {
 	}
 	fmt.Printf("\nstore: %d document(s): %v\n\n", s.Len(), s.Names())
 
-	// 3. Serve queries. Tag-only queries clone the cached instance;
+	// 3. Serve queries. Tag-only queries run on the cached instance;
 	// string conditions are distilled from the value containers (and then
 	// memoised), so the XML is never re-parsed — it never even exists.
 	for _, q := range []string{
-		`/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`,          // tag-only: clone + evaluate
+		`/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`,          // tag-only: evaluate on the cached instance
 		`//PLAYER[THROWS["Right"]]`,                    // string condition: distil from containers + merge
 		`//TEAM[TEAM_CITY["Atlanta"]]/PLAYER/POSITION`, // both
 	} {

@@ -1,13 +1,13 @@
 // Package algebra implements the Core XPath query operators on compressed
 // instances (Section 3 of the paper): axis applications, set operations,
-// and the root-conditional operator. Each operator adds one new selection
-// (unary relation) to an instance.
+// and the root-conditional operator. Each operator computes one new
+// selection (unary relation) of an instance.
 //
 // Operator costs follow the paper exactly:
 //
 //   - Set operations, the upward axes (self, parent, ancestor,
 //     ancestor-or-self) and V|root never change the DAG (Proposition 3.3).
-//     They run in linear time and mutate the instance in place.
+//     They run in linear time.
 //   - The downward axes (child, descendant, descendant-or-self) and the
 //     sibling axes may need to split shared vertices whose copies require
 //     different selections — partial decompression. Each such application
@@ -15,16 +15,11 @@
 //     and 3.4), which is where the 2^|Q| of Theorem 3.6 comes from.
 //   - following and preceding are compositions of the above (Section 3.2).
 //
-// All operators take ownership of their input instance: the caller must use
-// the returned instance and must not retain the argument.
+// The operators (overlay.go) read an immutable dag.Frozen base shared by
+// every in-flight query and write only to the query's dag.Overlay.
 package algebra
 
-import (
-	"fmt"
-
-	"repro/internal/dag"
-	"repro/internal/label"
-)
+import "fmt"
 
 // Axis enumerates the XPath axes of the Core XPath fragment.
 type Axis int
@@ -102,371 +97,4 @@ func (a Axis) Upward() bool {
 		return true
 	}
 	return false
-}
-
-// ApplyAxis computes dst := axis(src) on in, returning the (possibly
-// partially decompressed) result instance and the ID of the new selection
-// named dstName. in is consumed.
-func ApplyAxis(in *dag.Instance, axis Axis, src label.ID, dstName string) (*dag.Instance, label.ID) {
-	switch axis {
-	case Self:
-		return selfAxis(in, src, dstName)
-	case Child, Descendant, DescendantOrSelf:
-		return downwardAxis(in, axis, src, dstName)
-	case Parent, Ancestor, AncestorOrSelf:
-		return upwardAxis(in, axis, src, dstName)
-	case FollowingSibling, PrecedingSibling:
-		return siblingAxis(in, axis, src, dstName)
-	case Following:
-		// following(S) = descendant-or-self(following-sibling(ancestor-or-self(S)))
-		return composedAxis(in, src, dstName, AncestorOrSelf, FollowingSibling, DescendantOrSelf)
-	case Preceding:
-		return composedAxis(in, src, dstName, AncestorOrSelf, PrecedingSibling, DescendantOrSelf)
-	}
-	panic("algebra: unknown axis " + axis.String())
-}
-
-func composedAxis(in *dag.Instance, src label.ID, dstName string, axes ...Axis) (*dag.Instance, label.ID) {
-	cur := src
-	var temps []label.ID
-	for i, a := range axes {
-		name := dstName
-		if i < len(axes)-1 {
-			name = fmt.Sprintf("%s~%d", dstName, i)
-		}
-		in, cur = ApplyAxis(in, a, cur, name)
-		if i < len(axes)-1 {
-			temps = append(temps, cur)
-		}
-	}
-	for _, t := range temps {
-		ClearLabel(in, t)
-	}
-	return in, cur
-}
-
-// selfAxis copies the selection: self(S) = S.
-func selfAxis(in *dag.Instance, src label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		if in.Verts[i].Labels.Has(src) {
-			in.Verts[i].Labels = in.Verts[i].Labels.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// upwardAxis computes parent / ancestor / ancestor-or-self selections
-// bottom-up in one pass, never altering the DAG (Proposition 3.3): a
-// vertex's membership is determined entirely by its subtree, which is
-// identical for all tree nodes it represents.
-func upwardAxis(in *dag.Instance, axis Axis, src label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	if len(in.Verts) == 0 {
-		return in, dst
-	}
-	order := in.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		vert := &in.Verts[v]
-		sel := false
-		switch axis {
-		case Parent:
-			// n in parent(S) iff some child of n is in S.
-			for _, e := range vert.Edges {
-				if in.Verts[e.Child].Labels.Has(src) {
-					sel = true
-					break
-				}
-			}
-		case Ancestor:
-			// n in ancestor(S) iff some proper descendant is in S.
-			for _, e := range vert.Edges {
-				cl := in.Verts[e.Child].Labels
-				if cl.Has(src) || cl.Has(dst) {
-					sel = true
-					break
-				}
-			}
-		case AncestorOrSelf:
-			if vert.Labels.Has(src) {
-				sel = true
-			} else {
-				for _, e := range vert.Edges {
-					if in.Verts[e.Child].Labels.Has(dst) {
-						sel = true
-						break
-					}
-				}
-			}
-		}
-		if sel {
-			vert.Labels = vert.Labels.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// newMemo returns a dense (vertex, requested selection) → output vertex
-// memo table for copy-on-split rewrites: two slots per input vertex,
-// NilVertex-initialised. Dense slices replace the previous
-// map[memoKey]VertexID — rewrites probe the memo once per edge, and a
-// slice index beats a map lookup by an order of magnitude on that path.
-func newMemo(n int) []dag.VertexID {
-	memo := make([]dag.VertexID, 2*n)
-	for i := range memo {
-		memo[i] = dag.NilVertex
-	}
-	return memo
-}
-
-// memoIdx addresses the (v, sel) slot in a dense memo.
-func memoIdx(v dag.VertexID, sel bool) int {
-	i := 2 * int(v)
-	if sel {
-		i++
-	}
-	return i
-}
-
-// downwardAxis implements the recursive procedure of Figure 4, generalised
-// to run-length-encoded edges (which are orthogonal to downward selection:
-// every repetition of a child under the same parent receives the same
-// selection). Instead of mutating and copying nodes in place it rewrites
-// the DAG top-down with a (vertex, selection) memo table — each input
-// vertex yields at most two output vertices, giving the at-most-doubling
-// bound of Proposition 3.2.
-func downwardAxis(in *dag.Instance, axis Axis, src label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	if len(in.Verts) == 0 {
-		return in, dst
-	}
-	out := &dag.Instance{Schema: in.Schema}
-	memo := newMemo(len(in.Verts))
-
-	var process func(v dag.VertexID, sv bool) dag.VertexID
-	process = func(v dag.VertexID, sv bool) dag.VertexID {
-		key := memoIdx(v, sv)
-		if id := memo[key]; id != dag.NilVertex {
-			return id
-		}
-		id := dag.VertexID(len(out.Verts))
-		out.Verts = append(out.Verts, dag.Vertex{})
-		memo[key] = id
-
-		vert := &in.Verts[v]
-		labels := vert.Labels.Clone()
-		if sv {
-			labels = labels.Set(dst)
-		}
-		vi := vert.Labels.Has(src)
-		edges := make([]dag.Edge, 0, len(vert.Edges))
-		for _, e := range vert.Edges {
-			// Line 4 of Figure 4: the child's new selection.
-			sw := vi
-			if sv && (axis == Descendant || axis == DescendantOrSelf) {
-				sw = true
-			}
-			if axis == DescendantOrSelf && in.Verts[e.Child].Labels.Has(src) {
-				sw = true
-			}
-			edges = append(edges, dag.Edge{Child: process(e.Child, sw), Count: e.Count})
-		}
-		out.Verts[id].Edges = edges
-		out.Verts[id].Labels = labels
-		return id
-	}
-
-	rootSel := axis == DescendantOrSelf && in.Verts[in.Root].Labels.Has(src)
-	out.Root = process(in.Root, rootSel)
-	return out, dst
-}
-
-// siblingAxis implements following-sibling and preceding-sibling with edge
-// multiplicities (Proposition 3.4). A vertex is selected iff, within its
-// parent's child sequence, some strictly earlier (resp. later) sibling is
-// in S. Multiplicity runs can split: in a run c^k with c in S, the first
-// (resp. last) occurrence has no earlier (later) selected sibling from the
-// run itself, while the remaining k-1 do. Descendant structure is
-// untouched, so like the downward axes this at most doubles the instance.
-func siblingAxis(in *dag.Instance, axis Axis, src label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	if len(in.Verts) == 0 {
-		return in, dst
-	}
-	out := &dag.Instance{Schema: in.Schema}
-	memo := newMemo(len(in.Verts))
-
-	var process func(v dag.VertexID, sv bool) dag.VertexID
-	process = func(v dag.VertexID, sv bool) dag.VertexID {
-		key := memoIdx(v, sv)
-		if id := memo[key]; id != dag.NilVertex {
-			return id
-		}
-		id := dag.VertexID(len(out.Verts))
-		out.Verts = append(out.Verts, dag.Vertex{})
-		memo[key] = id
-
-		vert := &in.Verts[v]
-		labels := vert.Labels.Clone()
-		if sv {
-			labels = labels.Set(dst)
-		}
-
-		srcEdges := vert.Edges
-		reversed := axis == PrecedingSibling
-		edges := make([]dag.Edge, 0, len(srcEdges))
-		emit := func(c dag.VertexID, count uint32, sel bool) {
-			if count == 0 {
-				return
-			}
-			nc := process(c, sel)
-			if n := len(edges); n > 0 && edges[n-1].Child == nc {
-				edges[n-1].Count += count
-			} else {
-				edges = append(edges, dag.Edge{Child: nc, Count: count})
-			}
-		}
-		seen := false // a selected sibling has been passed in scan order
-		for i := 0; i < len(srcEdges); i++ {
-			e := srcEdges[i]
-			if reversed {
-				e = srcEdges[len(srcEdges)-1-i]
-			}
-			inS := in.Verts[e.Child].Labels.Has(src)
-			switch {
-			case seen:
-				emit(e.Child, e.Count, true)
-			case inS:
-				// First occurrence in scan order is not preceded
-				// (followed) by a selected sibling; the rest are.
-				emit(e.Child, 1, false)
-				emit(e.Child, e.Count-1, true)
-				seen = true
-			default:
-				emit(e.Child, e.Count, false)
-			}
-		}
-		if reversed {
-			// Edges were emitted in reverse scan order; restore
-			// document order.
-			for l, r := 0, len(edges)-1; l < r; l, r = l+1, r-1 {
-				edges[l], edges[r] = edges[r], edges[l]
-			}
-			// Reversal can expose mergeable neighbours at the seam.
-			edges = mergeRuns(edges)
-		}
-		out.Verts[id].Edges = edges
-		out.Verts[id].Labels = labels
-		return id
-	}
-
-	out.Root = process(in.Root, false)
-	return out, dst
-}
-
-func mergeRuns(edges []dag.Edge) []dag.Edge {
-	if len(edges) < 2 {
-		return edges
-	}
-	w := 0
-	for r := 1; r < len(edges); r++ {
-		if edges[r].Child == edges[w].Child {
-			edges[w].Count += edges[r].Count
-		} else {
-			w++
-			edges[w] = edges[r]
-		}
-	}
-	return edges[:w+1]
-}
-
-// Union computes dst := a ∪ b in place.
-func Union(in *dag.Instance, a, b label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		l := in.Verts[i].Labels
-		if l.Has(a) || l.Has(b) {
-			in.Verts[i].Labels = l.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// Intersect computes dst := a ∩ b in place.
-func Intersect(in *dag.Instance, a, b label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		l := in.Verts[i].Labels
-		if l.Has(a) && l.Has(b) {
-			in.Verts[i].Labels = l.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// Difference computes dst := a − b in place.
-func Difference(in *dag.Instance, a, b label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		l := in.Verts[i].Labels
-		if l.Has(a) && !l.Has(b) {
-			in.Verts[i].Labels = l.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// Complement computes dst := V − a in place (needed for "not(...)").
-func Complement(in *dag.Instance, a label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		if !in.Verts[i].Labels.Has(a) {
-			in.Verts[i].Labels = in.Verts[i].Labels.Set(dst)
-		}
-	}
-	return in, dst
-}
-
-// RootFilter computes dst := V|root(a) = V if root ∈ a, else ∅ — the
-// operator supporting absolute paths inside conditions (Section 3.1).
-func RootFilter(in *dag.Instance, a label.ID, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	if len(in.Verts) == 0 || !in.Verts[in.Root].Labels.Has(a) {
-		return in, dst
-	}
-	for i := range in.Verts {
-		in.Verts[i].Labels = in.Verts[i].Labels.Set(dst)
-	}
-	return in, dst
-}
-
-// AddAll adds a selection containing every vertex (the node set V at query
-// tree leaves).
-func AddAll(in *dag.Instance, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	for i := range in.Verts {
-		in.Verts[i].Labels = in.Verts[i].Labels.Set(dst)
-	}
-	return in, dst
-}
-
-// AddRoot adds a selection containing only the root (the node set {root}).
-func AddRoot(in *dag.Instance, dstName string) (*dag.Instance, label.ID) {
-	dst := in.Schema.Intern(dstName)
-	if len(in.Verts) > 0 {
-		r := &in.Verts[in.Root]
-		r.Labels = r.Labels.Set(dst)
-	}
-	return in, dst
-}
-
-// ClearLabel removes every vertex's membership in id — used to drop
-// intermediate results that are no longer needed (Section 3.3).
-func ClearLabel(in *dag.Instance, id label.ID) {
-	for i := range in.Verts {
-		if in.Verts[i].Labels.Has(id) {
-			in.Verts[i].Labels = in.Verts[i].Labels.Without(id)
-		}
-	}
 }

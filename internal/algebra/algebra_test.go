@@ -12,27 +12,67 @@ import (
 	"repro/internal/skeleton"
 )
 
-// sel returns the tag label ID, failing the test if missing.
-func tagID(t *testing.T, in *dag.Instance, tag string) label.ID {
+// Overlay columns used by the single-axis tests: the source selection,
+// the result, and the two scratch columns the composed axes clobber.
+const (
+	colSrc = iota
+	colDst
+	colScratchA
+	colScratchB
+	numCols
+)
+
+// acquire returns an overlay over the frozen in with n zeroed columns. The
+// caller releases it.
+func acquire(in *dag.Instance, n int) *dag.Overlay {
+	ov := dag.AcquireOverlay(dag.Freeze(in))
+	ov.EnsureCols(n)
+	return ov
+}
+
+// outcome is one operator's result: the selection in column col and the
+// live instance it sits on.
+type outcome struct {
+	tree         uint64 // tree nodes selected
+	dag          int    // DAG vertices selected
+	verts, edges int    // live instance size
+	rewritten    bool   // a decompressing rewrite happened
+	inst         *dag.Instance
+	lbl          label.ID
+}
+
+// finish reads column col's outcome, then detaches and materializes it,
+// failing the test if the result instance breaks the DAG invariants. The
+// overlay must not be evaluated further afterwards.
+func finish(t *testing.T, ov *dag.Overlay, col int) outcome {
 	t.Helper()
-	id := in.Schema.Lookup(skeleton.TagLabel(tag))
-	if id == label.Invalid {
+	o := outcome{tree: ov.SelectedTree(col), dag: ov.CountCol(col), rewritten: ov.Rewritten()}
+	o.verts, o.edges = ov.LiveCounts()
+	o.inst, o.lbl = ov.Detach(col).Materialize()
+	if err := o.inst.Validate(); err != nil {
+		t.Fatalf("result instance invalid: %v\n%s", err, o.inst)
+	}
+	return o
+}
+
+// applyTag computes axis(tag) on in.
+func applyTag(t *testing.T, in *dag.Instance, tag string, axis algebra.Axis) outcome {
+	t.Helper()
+	ov := acquire(in, numCols)
+	defer ov.Release()
+	if in.Schema.Lookup(skeleton.TagLabel(tag)) == label.Invalid {
 		t.Fatalf("tag %q not in schema", tag)
 	}
-	return id
+	algebra.OvLabel(ov, skeleton.TagLabel(tag), colSrc)
+	algebra.OvApplyAxis(ov, axis, colSrc, colDst, colScratchA, colScratchB)
+	return finish(t, ov, colDst)
 }
 
 // treeCount applies the axis on a compressed instance and returns how many
 // tree nodes the new selection covers.
 func treeCount(t *testing.T, term, tag string, axis algebra.Axis) uint64 {
 	t.Helper()
-	in := dagtest.CompressedFromTerm(term)
-	src := tagID(t, in, tag)
-	out, dst := algebra.ApplyAxis(in, axis, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatalf("%v axis broke the instance: %v\n%s", axis, err, out)
-	}
-	return out.CountSelectedTree(dst)
+	return applyTag(t, dagtest.CompressedFromTerm(term), tag, axis).tree
 }
 
 func TestChildAxis(t *testing.T) {
@@ -50,7 +90,7 @@ func TestParentAxis(t *testing.T) {
 }
 
 func TestDescendantAxis(t *testing.T) {
-	// descendants of a: everything below the root = 6 nodes.
+	// descendants of a: everything below the root = 7 nodes.
 	if got := treeCount(t, "a(b(c,c,d),b(c),d)", "a", algebra.Descendant); got != 7 {
 		t.Fatalf("descendant count = %d, want 7", got)
 	}
@@ -101,29 +141,23 @@ func TestFollowingSiblingSplitsRuns(t *testing.T) {
 	if in.NumVertices() != 2 {
 		t.Fatalf("setup: vertices = %d", in.NumVertices())
 	}
-	src := tagID(t, in, "c")
-	out, dst := algebra.ApplyAxis(in, algebra.FollowingSibling, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
+	out := applyTag(t, in, "c", algebra.FollowingSibling)
+	if out.tree != 2 {
+		t.Fatalf("selected = %d, want 2\n%s", out.tree, out.inst)
 	}
-	if got := out.CountSelectedTree(dst); got != 2 {
-		t.Fatalf("selected = %d, want 2\n%s", got, out)
+	if out.dag != 1 {
+		t.Fatalf("selected DAG vertices = %d, want 1 (split run, shared tail)\n%s", out.dag, out.inst)
 	}
-	if got := out.CountSelected(dst); got != 1 {
-		t.Fatalf("selected DAG vertices = %d, want 1 (split run, shared tail)\n%s", got, out)
+	if !out.rewritten || out.verts != 3 {
+		t.Fatalf("split run: rewritten=%v, %d live vertices, want a rewrite to 3\n%s",
+			out.rewritten, out.verts, out.inst)
 	}
 }
 
 func TestPrecedingSiblingAxis(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(c,c,c)")
-	src := tagID(t, in, "c")
-	out, dst := algebra.ApplyAxis(in, algebra.PrecedingSibling, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// preceding siblings of {c1,c2,c3}: c1,c2 selected.
-	if got := out.CountSelectedTree(dst); got != 2 {
-		t.Fatalf("selected = %d, want 2\n%s", got, out)
+	if got := treeCount(t, "a(c,c,c)", "c", algebra.PrecedingSibling); got != 2 {
+		t.Fatalf("selected = %d, want 2", got)
 	}
 }
 
@@ -146,82 +180,86 @@ func TestPrecedingAxis(t *testing.T) {
 }
 
 func TestSetOps(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b,c,b)")
-	b := tagID(t, in, "b")
-	c := tagID(t, in, "c")
-	in, u := algebra.Union(in, b, c, "$u")
-	if got := in.CountSelectedTree(u); got != 3 {
+	const (
+		b = iota
+		c
+		u
+		i
+		d
+		n
+		cols
+	)
+	ov := acquire(dagtest.CompressedFromTerm("a(b,c,b)"), cols)
+	defer ov.Release()
+	algebra.OvLabel(ov, skeleton.TagLabel("b"), b)
+	algebra.OvLabel(ov, skeleton.TagLabel("c"), c)
+	algebra.OvUnion(ov, b, c, u)
+	if got := ov.SelectedTree(u); got != 3 {
 		t.Fatalf("union = %d, want 3", got)
 	}
-	in, i := algebra.Intersect(in, b, c, "$i")
-	if got := in.CountSelectedTree(i); got != 0 {
+	algebra.OvIntersect(ov, b, c, i)
+	if got := ov.SelectedTree(i); got != 0 {
 		t.Fatalf("intersect = %d, want 0", got)
 	}
-	in, d := algebra.Difference(in, u, b, "$d")
-	if got := in.CountSelectedTree(d); got != 1 {
+	algebra.OvDifference(ov, u, b, d)
+	if got := ov.SelectedTree(d); got != 1 {
 		t.Fatalf("difference = %d, want 1", got)
 	}
-	in, n := algebra.Complement(in, b, "$n")
-	if got := in.CountSelectedTree(n); got != 2 {
+	algebra.OvComplement(ov, b, n)
+	if got := ov.SelectedTree(n); got != 2 {
 		t.Fatalf("complement = %d, want 2 (a and c)", got)
 	}
 }
 
 func TestRootFilter(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b)")
-	a := tagID(t, in, "a")
-	b := tagID(t, in, "b")
-	in, yes := algebra.RootFilter(in, a, "$y")
-	if got := in.CountSelectedTree(yes); got != 2 {
+	ov := acquire(dagtest.CompressedFromTerm("a(b)"), 4)
+	defer ov.Release()
+	algebra.OvLabel(ov, skeleton.TagLabel("a"), 0)
+	algebra.OvLabel(ov, skeleton.TagLabel("b"), 1)
+	algebra.OvRootFilter(ov, 0, 2)
+	if got := ov.SelectedTree(2); got != 2 {
 		t.Fatalf("root filter (root selected) = %d, want all 2", got)
 	}
-	in, no := algebra.RootFilter(in, b, "$n")
-	if got := in.CountSelectedTree(no); got != 0 {
+	algebra.OvRootFilter(ov, 1, 3)
+	if got := ov.SelectedTree(3); got != 0 {
 		t.Fatalf("root filter (root unselected) = %d, want 0", got)
 	}
 }
 
 func TestAddAllAddRoot(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b,b)")
-	in, all := algebra.AddAll(in, "$all")
-	if got := in.CountSelectedTree(all); got != 3 {
+	ov := acquire(dagtest.CompressedFromTerm("a(b,b)"), 2)
+	defer ov.Release()
+	algebra.OvAll(ov, 0)
+	if got := ov.SelectedTree(0); got != 3 {
 		t.Fatalf("all = %d", got)
 	}
-	in, root := algebra.AddRoot(in, "$root")
-	if got := in.CountSelectedTree(root); got != 1 {
+	algebra.OvRoot(ov, 1)
+	if got := ov.SelectedTree(1); got != 1 {
 		t.Fatalf("root = %d", got)
 	}
-	if !in.Verts[in.Root].Labels.Has(root) {
+	if !ov.Col(1).Get(ov.Root()) {
 		t.Fatal("root selection not on root vertex")
 	}
 }
 
-func TestClearLabel(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b)")
-	b := tagID(t, in, "b")
-	algebra.ClearLabel(in, b)
-	if got := in.CountSelected(b); got != 0 {
-		t.Fatalf("cleared label still selects %d", got)
-	}
-}
-
 // TestUpwardNoDecompression is Corollary 3.7's precondition: upward axes
-// and set operations never change the DAG.
+// never change the DAG.
 func TestUpwardNoDecompression(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := dag.Compress(dagtest.RandomTree(r, 60, 4, 3))
-		v0, e0 := in.NumVertices(), in.NumEdges()
-		var src label.ID
 		if in.Schema.Len() == 0 {
 			return true
 		}
-		src = label.ID(r.Intn(in.Schema.Len()))
-		for _, ax := range []algebra.Axis{algebra.Self, algebra.Parent, algebra.Ancestor, algebra.AncestorOrSelf} {
-			var out *dag.Instance
-			out, src = algebra.ApplyAxis(in, ax, src, "$x"+ax.String())
-			in = out
-			if in.NumVertices() != v0 || in.NumEdges() != e0 {
+		v0, e0 := in.NumVertices(), in.NumEdges()
+		upward := []algebra.Axis{algebra.Self, algebra.Parent, algebra.Ancestor, algebra.AncestorOrSelf}
+		ov := acquire(in, len(upward)+1)
+		defer ov.Release()
+		algebra.OvLabel(ov, in.Schema.Name(label.ID(r.Intn(in.Schema.Len()))), 0)
+		for i, ax := range upward {
+			algebra.OvApplyAxis(ov, ax, i, i+1, -1, -1)
+			if v, e := ov.LiveCounts(); v != v0 || e != e0 || ov.Rewritten() {
+				t.Logf("%v changed the instance %d/%d -> %d/%d", ax, v0, e0, v, e)
 				return false
 			}
 		}
@@ -245,25 +283,26 @@ func TestDoublingBound(t *testing.T) {
 		if base.Schema.Len() == 0 {
 			return true
 		}
-		src := label.ID(r.Intn(base.Schema.Len()))
+		v0, e0 := base.NumVertices(), base.NumEdges()
+		src := base.Schema.Name(label.ID(r.Intn(base.Schema.Len())))
+		// Equivalence must be preserved on the original schema.
+		keep := make([]label.ID, base.Schema.Len())
+		for i := range keep {
+			keep[i] = label.ID(i)
+		}
+		fz := dag.Freeze(base)
 		for _, ax := range axes {
-			in := base.Clone()
-			v0, e0 := in.NumVertices(), in.NumEdges()
-			out, _ := algebra.ApplyAxis(in, ax, src, "$r")
-			if err := out.Validate(); err != nil {
-				t.Logf("%v: %v", ax, err)
+			ov := dag.AcquireOverlay(fz)
+			ov.EnsureCols(numCols)
+			algebra.OvLabel(ov, src, colSrc)
+			algebra.OvApplyAxis(ov, ax, colSrc, colDst, colScratchA, colScratchB)
+			out := finish(t, ov, colDst)
+			ov.Release()
+			if out.verts > 2*v0 || out.edges > 2*e0 {
+				t.Logf("%v grew %d/%d -> %d/%d", ax, v0, e0, out.verts, out.edges)
 				return false
 			}
-			if out.NumVertices() > 2*v0 || out.NumEdges() > 2*e0 {
-				t.Logf("%v grew %d/%d -> %d/%d", ax, v0, e0, out.NumVertices(), out.NumEdges())
-				return false
-			}
-			// Equivalence must be preserved on the original schema.
-			keep := make([]label.ID, base.Schema.Len())
-			for i := range keep {
-				keep[i] = label.ID(i)
-			}
-			if !dag.Equivalent(out.Reduct(keep), base) {
+			if !dag.Equivalent(out.inst.Reduct(keep), base) {
 				t.Logf("%v changed the underlying document", ax)
 				return false
 			}
@@ -284,12 +323,15 @@ func TestAxisInverseRoundTrip(t *testing.T) {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	in := dag.New()
+	ov := acquire(dag.New(), numCols)
+	defer ov.Release()
 	for _, ax := range []algebra.Axis{algebra.Child, algebra.Parent, algebra.Descendant, algebra.FollowingSibling, algebra.Following} {
-		out, _ := algebra.ApplyAxis(in, ax, 0, "$r")
-		if out.NumVertices() != 0 {
-			t.Fatalf("%v on empty instance produced vertices", ax)
+		algebra.OvApplyAxis(ov, ax, colSrc, colDst, colScratchA, colScratchB)
+		if v, e := ov.LiveCounts(); v != 0 || e != 0 || ov.Root() != dag.NilVertex {
+			t.Fatalf("%v on empty instance produced %d vertices, %d edges", ax, v, e)
 		}
-		in = out
+	}
+	if out := finish(t, ov, colDst); out.tree != 0 || out.inst.NumVertices() != 0 {
+		t.Fatalf("empty instance selected %d nodes over %d vertices", out.tree, out.inst.NumVertices())
 	}
 }

@@ -5,21 +5,20 @@ import (
 	"repro/internal/label"
 )
 
-// This file implements every Core XPath operator of algebra.go a second
-// time, for the zero-clone evaluation mode: operators read the immutable
-// frozen base shared by all in-flight queries (plus the query's private
-// overlay) and write dense Bitset columns in the overlay instead of
-// interning temporaries into the schema and mutating per-vertex label
-// sets. Set operations become word-wise loops; upward axes stay a single
-// bottom-up pass; the decompressing axes (downward, sibling) become
+// The operators read the immutable frozen base shared by all in-flight
+// queries (plus the query's private overlay) and write dense Bitset
+// columns in the overlay; nothing is interned into the schema and no base
+// vertex is touched. Set operations are word-wise loops; upward axes are a
+// single bottom-up pass; the decompressing axes (downward, sibling) are
 // copy-on-write rewrites that append to the overlay only the vertices
 // whose edges or selection variants must diverge from the base — the
 // identity part of the graph keeps its IDs, so selections written before
 // a rewrite stay valid for free and a small-selection query allocates
 // proportionally to what it splits, not to the document.
 //
-// Operator semantics are identical to the clone path; the golden tests in
-// internal/engine assert equality corpus by corpus and per random query.
+// internal/baseline evaluates the same algebra on the uncompressed tree;
+// the differential tests in internal/engine compare the two corpus by
+// corpus and per random query.
 
 // OvLabel fills column dst with the membership of the relation named
 // name, or with the empty set if the document does not define it.
@@ -127,9 +126,9 @@ func OvApplyAxis(ov *dag.Overlay, axis Axis, src, dst, scratchA, scratchB int) {
 }
 
 // ovUpward computes parent / ancestor / ancestor-or-self bottom-up in one
-// pass over the live topological order, exactly like the clone path's
-// upwardAxis but reading and writing columns. The graph never changes
-// (Proposition 3.3).
+// pass over the live topological order: a vertex's membership depends only
+// on its subtree, which is identical for every tree node it represents, so
+// the graph never changes (Proposition 3.3).
 func ovUpward(ov *dag.Overlay, axis Axis, src, dst int) {
 	s, d := ov.Col(src), ov.Col(dst)
 	d.Zero()
@@ -170,7 +169,9 @@ func ovUpward(ov *dag.Overlay, axis Axis, src, dst int) {
 	}
 }
 
-// ovDownward is the copy-on-write form of downwardAxis (Figure 4). Pass 1
+// ovDownward is the copy-on-write form of the recursive procedure of
+// Figure 4, generalised to run-length-encoded edges (every repetition of a
+// child under the same parent receives the same selection). Pass 1
 // walks the live graph top-down computing which selection variants —
 // selected (T), unselected (F), or both — each vertex is requested under.
 // Pass 2 walks bottom-up choosing a representative per (vertex, variant):
@@ -322,11 +323,14 @@ func ovDownward(ov *dag.Overlay, axis Axis, src, dst int) {
 	})
 }
 
-// ovSibling is the copy-on-write form of siblingAxis (Proposition 3.4).
-// The per-vertex edge rewrite — splitting multiplicity runs at the first
-// selected sibling in scan order — is independent of the vertex's own
-// variant, so pass 2 computes one edge plan per vertex and at most two
-// representatives sharing it.
+// ovSibling implements following-sibling and preceding-sibling with edge
+// multiplicities (Proposition 3.4). A vertex is selected iff, within its
+// parent's child sequence, some strictly earlier (resp. later) sibling is
+// in S. Multiplicity runs can split: in a run c^k with c in S, the first
+// (resp. last) occurrence has no earlier (later) selected sibling from the
+// run itself, while the remaining k-1 do. The per-vertex edge rewrite is
+// independent of the vertex's own variant, so pass 2 computes one edge
+// plan per vertex and at most two representatives sharing it.
 func ovSibling(ov *dag.Overlay, axis Axis, src, dst int) {
 	d := ov.Col(dst)
 	d.Zero()
@@ -479,6 +483,24 @@ func ovSibling(ov *dag.Overlay, axis Axis, src, dst int) {
 	dag.ForEachBit(needT, func(v dag.VertexID) {
 		d.Set(repT[v])
 	})
+}
+
+// mergeRuns fuses adjacent edges to the same child into one run, restoring
+// RLE normal form in place.
+func mergeRuns(edges []dag.Edge) []dag.Edge {
+	if len(edges) < 2 {
+		return edges
+	}
+	w := 0
+	for r := 1; r < len(edges); r++ {
+		if edges[r].Child == edges[w].Child {
+			edges[w].Count += edges[r].Count
+		} else {
+			w++
+			edges[w] = edges[r]
+		}
+	}
+	return edges[:w+1]
 }
 
 // planEqual reports whether a rewritten edge plan is identical to the

@@ -7,17 +7,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/engine"
 	"repro/internal/xpath"
 )
 
-// TestPreparedRunAllocs is the allocation-regression bound for the
-// zero-clone read path: a warm tag-only Prepared.Run must allocate O(its
-// result) — a detached selection slice, a view and a result struct — and
-// specifically never the O(|document|) that cloning the base instance
-// cost (two allocations per vertex before this path existed). The bound
-// is generous (pool refills after a GC cost a few extra allocations) but
-// two orders of magnitude below the clone path's count on this corpus.
+// TestPreparedRunAllocs is the allocation-regression bound for the read
+// path: a warm tag-only Prepared.Run must allocate O(its result) — a
+// detached selection slice, a view and a result struct — never O(|document|)
+// (copying the base instance would cost two allocations per vertex, tens
+// of thousands on this corpus). The absolute bound of 64 allocs/op is the
+// gate; it is generous only because pool refills after a GC cost a few
+// extra allocations.
 func TestPreparedRunAllocs(t *testing.T) {
 	c, err := corpus.ByName("SwissProt")
 	if err != nil {
@@ -51,25 +50,15 @@ func TestPreparedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		overlay := testing.AllocsPerRun(50, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := prep.Run(prog); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if overlay > tc.bound {
-			t.Errorf("%s: overlay Prepared.Run allocates %.0f/op, want <= %.0f", tc.name, overlay, tc.bound)
+		if allocs > tc.bound {
+			t.Errorf("%s: Prepared.Run allocates %.0f/op, want <= %.0f", tc.name, allocs, tc.bound)
 		}
-
-		clone := testing.AllocsPerRun(10, func() {
-			if _, err := engine.Run(prep.CloneBase(), prog); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if overlay*5 > clone {
-			t.Errorf("%s: overlay allocates %.0f/op vs clone path %.0f/op — want at least 5x fewer",
-				tc.name, overlay, clone)
-		}
-		t.Logf("%s: overlay %.0f allocs/op, clone %.0f allocs/op", tc.name, overlay, clone)
+		t.Logf("%s: %.0f allocs/op", tc.name, allocs)
 	}
 }
 

@@ -106,3 +106,31 @@ func TestQueryFromUnknownTagSelectsNothing(t *testing.T) {
 		t.Fatalf("unknown tag selected %d", res.SelectedTree)
 	}
 }
+
+// TestQueryFromChainUsesLatestSelection: each stage's context is exactly
+// the previous stage's selection, never an earlier stage's.
+func TestQueryFromChainUsesLatestSelection(t *testing.T) {
+	prep, err := core.Load([]byte(bibXML)).Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubs, err := prep.Query(`/bib/*`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	books, err := pubs.QueryFrom(`self::book`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := books.QueryFrom(`self::*`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pubs.SelectedTree != 3 || books.SelectedTree != 1 || same.SelectedTree != 1 {
+		t.Fatalf("stages selected %d, %d, %d; want 3, 1, 1",
+			pubs.SelectedTree, books.SelectedTree, same.SelectedTree)
+	}
+	if got := same.Paths(10); len(got) != 1 || got[0] != "1.1" {
+		t.Fatalf("third stage paths = %v, want [1.1]", got)
+	}
+}

@@ -70,13 +70,14 @@ func (d *Document) Stats(mode skeleton.TagMode) (CompressionStats, error) {
 
 // Result reports a query evaluation in the shape of one Figure 7 row.
 //
-// The result selection itself is carried either as a materialized
-// instance (queries that consumed a private instance) or as a detached
-// overlay view over the shared frozen base (Prepared/store queries,
-// which never clone). The counting fields are always populated; the
-// Instance accessor materializes a standalone instance lazily, and Paths
-// reads straight off whichever form is present — so a serving layer that
-// only reports counts and addresses never pays for materialization.
+// An evaluated result carries its selection as a detached overlay view
+// over the frozen instance it ran on; pruned, exists-direct and count-only
+// results carry a tiny standalone instance, and a count-direct result
+// evaluates (through its fallback) only when asked for its selection.
+// The counting fields are always populated; the Instance accessor
+// materializes a standalone instance lazily, and Paths reads straight off
+// whichever form is present — so a serving layer that only reports counts
+// and addresses never pays for materialization.
 type Result struct {
 	// ParseTime covers parsing, string matching and compression; EvalTime
 	// covers pure in-memory query evaluation (columns 1 and 4).
@@ -99,7 +100,7 @@ type Result struct {
 	mu   sync.Mutex
 	inst *dag.Instance   // materialized result instance (lazy for views)
 	lbl  label.ID        // result selection within inst
-	view *dag.ResultView // overlay result; nil for consumed-instance runs
+	view *dag.ResultView // overlay result; nil until evaluated, and for count-only runs
 
 	// direct marks results answered from synopsis statistics without
 	// evaluation; fallback, for direct count results, evaluates the
@@ -157,8 +158,7 @@ func ExistsResult(exists bool) *Result {
 // its fallback if paths or an instance are requested).
 func (r *Result) Direct() bool { return r.direct }
 
-// newResult wraps an engine result, deferring materialization when the
-// engine ran in overlay mode.
+// newResult wraps an engine result, deferring materialization of its view.
 func newResult(er *engine.Result) *Result {
 	return &Result{
 		VertsBefore:  er.VertsBefore,
@@ -244,8 +244,9 @@ func (r *Result) Paths(max int) []string {
 
 // QueryFrom evaluates a follow-up query whose top-level relative paths
 // start from this result's selection — the "user-defined initial selection
-// of nodes" context of Section 3.1. Evaluation continues on a copy of the
-// (partially decompressed) result instance, so r remains valid and
+// of nodes" context of Section 3.1. Evaluation reads the (partially
+// decompressed) result instance frozen in place, with the selection as the
+// context relation; nothing is copied or mutated, so r remains valid and
 // composition chains freely.
 //
 // The follow-up may only reference relations present in the result
@@ -259,7 +260,7 @@ func (r *Result) QueryFrom(query string) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	er, err := engine.Run(inst.Clone(), prog)
+	er, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +288,9 @@ func Compile(query string) (*xpath.Program, error) {
 	return xpath.CompileQuery(query)
 }
 
-// Run evaluates a compiled program against the document.
+// Run evaluates a compiled program against the document: it distils a
+// compressed instance over exactly the program's relations, freezes it
+// and evaluates on it (engine.RunFrozen).
 func (d *Document) Run(prog *xpath.Program) (*Result, error) {
 	t0 := time.Now()
 	inst, st, err := skeleton.BuildCompressed(d.source, skeleton.Options{
@@ -301,7 +304,7 @@ func (d *Document) Run(prog *xpath.Program) (*Result, error) {
 	parseTime := time.Since(t0)
 
 	t1 := time.Now()
-	er, err := engine.Run(inst, prog)
+	er, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return nil, err
 	}

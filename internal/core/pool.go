@@ -7,9 +7,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/synopsis"
 	"repro/internal/xpath"
@@ -17,9 +17,8 @@ import (
 
 // Pool fans queries out over a corpus of documents with a bounded worker
 // pool: the batch-oriented face of the library that cmd/xcquery's
-// directory mode and cmd/xcbench's parallel experiment sit on. Documents
-// are independent, so evaluation is coordination-free — workers share
-// only the compiled (read-only) program.
+// directory mode sits on. Documents are independent, so evaluation is
+// coordination-free — workers share only the compiled (read-only) program.
 //
 // PrepareBatch also builds a path synopsis per document (the same
 // summaries the archive store persists as sidecars), so RunAll can skip
@@ -28,8 +27,8 @@ import (
 //
 // A Pool is safe for concurrent use once populated: Add/AddDir must not
 // race with PrepareBatch or QueryAll, but any number of QueryAll calls
-// may run concurrently with each other (Prepared instances are never
-// mutated; every query evaluates on a copy).
+// may run concurrently with each other (Prepared instances are frozen and
+// never mutated; every query writes only to its own overlay).
 type Pool struct {
 	workers int
 	entries []*poolEntry
@@ -96,30 +95,6 @@ func (p *Pool) AddDir(dir string) (int, error) {
 	return len(names), nil
 }
 
-// forEach runs fn(i) for every entry index on the worker pool.
-func (p *Pool) forEach(fn func(i int)) {
-	workers := p.workers
-	if workers > len(p.entries) {
-		workers = len(p.entries)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := range p.entries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
 // PrepareBatch parses and compresses every document's full tag skeleton
 // concurrently (Document.Prepare per entry), and summarises each into a
 // path synopsis over a pool-wide dictionary. Subsequent QueryAll calls
@@ -132,7 +107,7 @@ func (p *Pool) PrepareBatch() error {
 		p.idx = synopsis.NewIndex()
 	}
 	errs := make([]error, len(p.entries))
-	p.forEach(func(i int) {
+	engine.ForEach(len(p.entries), p.workers, func(i int) {
 		e := p.entries[i]
 		e.prep, errs[i] = e.doc.Prepare()
 		if errs[i] == nil {
@@ -193,7 +168,7 @@ func (p *Pool) RunAll(prog *xpath.Program) []BatchResult {
 		eval = plan.Build(prog, p.idx).Prog
 	}
 	out := make([]BatchResult, len(p.entries))
-	p.forEach(func(i int) {
+	engine.ForEach(len(p.entries), p.workers, func(i int) {
 		e := p.entries[i]
 		out[i].Name = e.name
 		switch {

@@ -85,12 +85,6 @@ func NewPrepared(base *dag.Instance, distill Distiller) *Prepared {
 // Frozen returns the shared frozen base instance.
 func (p *Prepared) Frozen() *dag.Frozen { return p.frozen }
 
-// CloneBase returns a copy of the cached full-tag instance, for callers
-// that evaluate compiled programs on it directly with the consuming
-// engine.Run path — e.g. the clone-vs-overlay benchmarks and golden
-// tests.
-func (p *Prepared) CloneBase() *dag.Instance { return p.frozen.Instance().Clone() }
-
 // BaseVertices returns the size of the cached instance, for reporting.
 func (p *Prepared) BaseVertices() int { return p.frozen.NumVertices() }
 

@@ -21,9 +21,10 @@ func TestPreparedMatchesDirectQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range c.Queries {
-			// direct runs the consuming clone-path engine on a per-query
-			// instance; prepared runs the zero-clone overlay path on the
-			// shared frozen base — the golden pair of the two read paths.
+			// direct distils a per-query instance over exactly the query's
+			// relations; prepared evaluates on the shared full-tag base
+			// (merged with string marks) — the golden pair of the two
+			// instance-building paths.
 			direct, err := doc.Query(q)
 			if err != nil {
 				t.Fatalf("%s Q%d direct: %v", name, qi+1, err)

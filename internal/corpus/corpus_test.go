@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/corpus"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/saxml"
 	"repro/internal/skeleton"
@@ -61,7 +62,7 @@ func TestAllQueriesSelectSomething(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", c.Name, i+1, err)
 			}
-			res, err := engine.Run(inst, prog)
+			res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", c.Name, i+1, err)
 			}

@@ -3,12 +3,11 @@ package dag
 import "math/bits"
 
 // Bitset is a dense bitset over VertexID — the per-query selection
-// representation of the overlay evaluation mode. Where the clone-based
-// engine records a selection by interning a schema name and setting a bit
-// in every selected vertex's label.Set (one allocation per touched
-// vertex), an overlay query keeps each selection as one flat []uint64
-// column indexed by vertex, so set operations become word-wise loops and
-// a selection costs no per-vertex allocations at all.
+// representation of the overlay evaluation mode. Rather than interning a
+// schema name and setting a bit in every selected vertex's label.Set (one
+// allocation per touched vertex), an overlay query keeps each selection
+// as one flat []uint64 column indexed by vertex, so set operations become
+// word-wise loops and a selection costs no per-vertex allocations at all.
 type Bitset []uint64
 
 // bitsetWords returns the number of 64-bit words covering n vertices.

@@ -79,16 +79,6 @@ func (b *Builder) addEdges(labels label.Set, edges []Edge) VertexID {
 // SetRoot declares the root vertex of the instance under construction.
 func (b *Builder) SetRoot(id VertexID) { b.inst.Root = id }
 
-// Edges returns a copy of the child edges of a vertex already added to the
-// builder. Callers grafting instances together (dag.Canonicalise) use it
-// to read off substructure before the instance is finalised.
-func (b *Builder) Edges(id VertexID) []Edge {
-	e := b.inst.Verts[id].Edges
-	out := make([]Edge, len(e))
-	copy(out, e)
-	return out
-}
-
 // Instance finalises and returns the built instance. The builder must not
 // be used afterwards. Vertices never reachable from the root are pruned so
 // that |V| reflects the instance actually rooted at SetRoot's argument.

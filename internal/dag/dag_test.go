@@ -2,6 +2,7 @@ package dag_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -442,5 +443,19 @@ func TestBuilderSharing(t *testing.T) {
 	p2 := b.AddEdges(ls, []dag.Edge{{Child: v1, Count: 2}})
 	if p1 != p2 {
 		t.Fatal("Add did not run-length-encode consecutive children")
+	}
+}
+
+func TestWriteDOT(t *testing.T) {
+	in := dagtest.CompressedFromTerm("a(b,b,c)")
+	var sb strings.Builder
+	if err := dag.WriteDOT(&sb, in, "test"); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"digraph", "tag:a", "tag:b", "(x2)", "->"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("DOT output missing %q:\n%s", want, out)
+		}
 	}
 }

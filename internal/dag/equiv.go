@@ -19,24 +19,15 @@ func Equivalent(a, b *Instance) bool {
 		return len(a.Verts) == len(b.Verts)
 	}
 	bld := NewBuilder(nil)
-	ra := Canonicalise(bld, a)
-	rb := Canonicalise(bld, b)
-	return ra == rb
+	return canonicalise(bld, a) == canonicalise(bld, b)
 }
 
-// Canonicalise hash-conses in into bld, translating label IDs by name into
-// bld's schema, and returns the canonical vertex for in's root. Grafting
-// several instances into one builder this way merges all shared structure
-// across them — used by instance equivalence and by reassembling shredded
-// documents.
-func Canonicalise(bld *Builder, in *Instance) VertexID {
-	return canonicalise(in, bld, bld.Schema())
-}
-
-func canonicalise(in *Instance, bld *Builder, joint *label.Schema) VertexID {
+// canonicalise hash-conses in into bld, translating label IDs by name into
+// bld's schema, and returns the canonical vertex for in's root.
+func canonicalise(bld *Builder, in *Instance) VertexID {
 	translate := make([]label.ID, in.Schema.Len())
 	for i := 0; i < in.Schema.Len(); i++ {
-		translate[i] = joint.Intern(in.Schema.Name(label.ID(i)))
+		translate[i] = bld.Schema().Intern(in.Schema.Name(label.ID(i)))
 	}
 	remap := make([]VertexID, len(in.Verts))
 	order := in.TopoOrder()

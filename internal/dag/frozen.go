@@ -34,8 +34,7 @@ type Frozen struct {
 }
 
 // Freeze wraps in as an immutable base. The caller must not mutate in (or
-// its schema) afterwards; run queries against it with engine.RunFrozen,
-// or clone it for the consuming engine.Run path.
+// its schema) afterwards; run queries against it with engine.RunFrozen.
 func Freeze(in *Instance) *Frozen {
 	return &Frozen{
 		inst:      in,

@@ -12,9 +12,8 @@ import (
 // mode: all in-flight queries of a document share one immutable Frozen
 // base, and each query writes only here. An overlay holds
 //
-//   - one Bitset column per program register (the selections the clone
-//     engine would have interned into the schema and scattered across
-//     per-vertex label sets), and
+//   - one Bitset column per program register (a selection, kept out of
+//     the shared schema and the per-vertex label sets), and
 //   - an append-only vertex extension for the partial decompression the
 //     downward and sibling axes perform: a rewrite copies only vertices
 //     whose edges or selection variants must diverge from the base, and

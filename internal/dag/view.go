@@ -74,9 +74,10 @@ func (v *ResultView) Paths(max int) []string {
 
 // Materialize builds a standalone Instance carrying the result: the live
 // part of the view's graph, compacted and deep-copied, with the selection
-// registered as the relation ResultLabelName. The returned instance
-// shares nothing mutable with the frozen base, so it composes with the
-// consuming engine.Run path (query contexts, DOT output, decompression).
+// registered as the relation ResultLabelName (replacing any such relation
+// the base already carried). The returned instance shares nothing mutable
+// with the frozen base, so callers may freeze it for a follow-up query
+// (a query context), render it as DOT or decompress it.
 func (v *ResultView) Materialize() (*Instance, label.ID) {
 	schema := v.f.inst.Schema.Clone()
 	rid := schema.Intern(ResultLabelName)
@@ -118,6 +119,10 @@ func (v *ResultView) Materialize() (*Instance, label.ID) {
 		labels := v.labels(oldID).Clone()
 		if sel.Get(oldID) {
 			labels = labels.Set(rid)
+		} else if labels.Has(rid) {
+			// The base is itself a materialized result (a query context):
+			// its selection is not this one.
+			labels = labels.Without(rid)
 		}
 		out.Verts[newID] = Vertex{Edges: edges, Labels: labels}
 	}

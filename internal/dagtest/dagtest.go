@@ -1,13 +1,16 @@
 // Package dagtest provides helpers shared by the test suites: building
-// instances from a compact term syntax and generating random trees for
-// property-based tests.
+// instances from a compact term syntax, generating random trees for
+// property-based tests, and rendering reference-evaluator answers as
+// result paths.
 package dagtest
 
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/skeleton"
@@ -266,6 +269,33 @@ func Expand(r *rand.Rand, in *dag.Instance) *dag.Instance {
 				append([]dag.Edge{{Child: nid, Count: 1}}, rest...)...)
 		} else {
 			out.Verts[rf.parent].Edges[rf.edge].Child = nid
+		}
+	}
+	return out
+}
+
+// BaselinePaths returns the tree addresses of the nodes set selects in
+// t, in document order, in the format of dag.SelectedPaths: 1-based child
+// positions joined with '.', with the virtual document node (node 0) at
+// "". It turns the reference evaluator's answer into the form the
+// compressed engine reports, so differential tests compare node
+// identities, not just counts.
+func BaselinePaths(t *baseline.Tree, set []bool) []string {
+	addr := make([]string, t.NumNodes())
+	for p, children := range t.Children {
+		for i, c := range children {
+			pos := strconv.Itoa(i + 1)
+			if p == 0 {
+				addr[c] = pos
+			} else {
+				addr[c] = addr[p] + "." + pos
+			}
+		}
+	}
+	var out []string
+	for n, in := range set {
+		if in {
+			out = append(out, addr[n])
 		}
 	}
 	return out

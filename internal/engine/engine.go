@@ -3,30 +3,25 @@
 // and 4: instructions run in order, each adding one selection to the
 // instance and possibly partially decompressing it; the final selection is
 // the query result, itself represented on a partially decompressed
-// instance.
+// instance. RunFrozen is the one evaluator: it reads a frozen instance
+// shared by every in-flight query and writes only to a per-query overlay.
 package engine
 
 import (
-	"fmt"
-
-	"repro/internal/algebra"
 	"repro/internal/dag"
 	"repro/internal/label"
-	"repro/internal/xpath"
 )
 
 // Result is the outcome of running a program.
 type Result struct {
 	// Instance is the (possibly partially decompressed) instance carrying
-	// the result selection. When the input was a tree it is unchanged in
-	// shape. Results from RunFrozen leave it nil and carry View instead;
-	// Materialize fills it on demand.
+	// the result selection. RunFrozen leaves it nil and carries View
+	// instead; Materialize fills it on demand.
 	Instance *dag.Instance
 	// Label identifies the result selection within Instance.
 	Label label.ID
-	// View is the detached overlay result of the zero-clone path
-	// (RunFrozen): the shared frozen base plus the query's extension and
-	// selection. nil for results of Run.
+	// View is the detached overlay result: the shared frozen base plus the
+	// query's extension and selection. nil for RunFrozenCount results.
 	View *dag.ResultView
 
 	// SelectedDAG is the number of instance vertices selected
@@ -44,9 +39,9 @@ type Result struct {
 }
 
 // Materialize returns the result as a standalone instance plus the
-// selection's label ID, building both lazily for overlay results (Run
-// results already carry them). The instance shares nothing mutable with
-// any frozen base. Not safe for concurrent use on one Result.
+// selection's label ID, building both lazily from the view. The instance
+// shares nothing mutable with any frozen base. Not safe for concurrent use
+// on one Result.
 func (r *Result) Materialize() (*dag.Instance, label.ID) {
 	if r.Instance == nil && r.View != nil {
 		r.Instance, r.Label = r.View.Materialize()
@@ -65,73 +60,4 @@ func (r *Result) Recompress() {
 	r.VertsAfter = r.Instance.NumVertices()
 	r.EdgesAfter = r.Instance.NumEdges()
 	r.SelectedDAG = r.Instance.CountSelected(r.Label)
-}
-
-// Run executes prog on inst. inst is consumed: operators mutate it or
-// replace it by a partially decompressed copy; use the returned
-// Result.Instance. Relations referenced by the program (tags, string
-// conditions) that are absent from the instance's schema are treated as
-// empty node sets, matching documents that simply lack the tag.
-func Run(inst *dag.Instance, prog *xpath.Program) (*Result, error) {
-	res := &Result{
-		VertsBefore: inst.NumVertices(),
-		EdgesBefore: inst.NumEdges(),
-	}
-
-	regs := make([]label.ID, prog.NumTemp)
-	for i := range regs {
-		regs[i] = label.Invalid
-	}
-	// Temporary names carry a per-run generation prefix (derived from the
-	// schema size, which only grows) so that running several programs
-	// against one instance — query composition via contexts — never
-	// collides with an earlier run's temporaries.
-	gen := inst.Schema.Len()
-	// missing is a lazily created empty relation standing in for labels
-	// the document does not define.
-	missing := label.Invalid
-	emptyLabel := func() label.ID {
-		if missing == label.Invalid {
-			missing = inst.Schema.Intern(fmt.Sprintf("$g%d.empty", gen))
-		}
-		return missing
-	}
-
-	for _, in := range prog.Instrs {
-		name := fmt.Sprintf("$g%d.t%d", gen, in.Dst)
-		switch in.Op {
-		case xpath.OpLabel:
-			if id := inst.Schema.Lookup(in.Name); id != label.Invalid {
-				regs[in.Dst] = id
-			} else {
-				regs[in.Dst] = emptyLabel()
-			}
-		case xpath.OpAll:
-			inst, regs[in.Dst] = algebra.AddAll(inst, name)
-		case xpath.OpRoot:
-			inst, regs[in.Dst] = algebra.AddRoot(inst, name)
-		case xpath.OpAxis:
-			inst, regs[in.Dst] = algebra.ApplyAxis(inst, in.Axis, regs[in.A], name)
-		case xpath.OpUnion:
-			inst, regs[in.Dst] = algebra.Union(inst, regs[in.A], regs[in.B], name)
-		case xpath.OpIntersect:
-			inst, regs[in.Dst] = algebra.Intersect(inst, regs[in.A], regs[in.B], name)
-		case xpath.OpDiff:
-			inst, regs[in.Dst] = algebra.Difference(inst, regs[in.A], regs[in.B], name)
-		case xpath.OpComplement:
-			inst, regs[in.Dst] = algebra.Complement(inst, regs[in.A], name)
-		case xpath.OpRootFilter:
-			inst, regs[in.Dst] = algebra.RootFilter(inst, regs[in.A], name)
-		default:
-			return nil, fmt.Errorf("engine: unknown op %d", in.Op)
-		}
-	}
-
-	res.Instance = inst
-	res.Label = regs[prog.Result]
-	res.VertsAfter = inst.NumVertices()
-	res.EdgesAfter = inst.NumEdges()
-	res.SelectedDAG = inst.CountSelected(res.Label)
-	res.SelectedTree = inst.CountSelectedTree(res.Label)
-	return res, nil
 }

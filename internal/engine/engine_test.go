@@ -14,7 +14,8 @@ import (
 	"repro/internal/xpath"
 )
 
-// run evaluates query on doc via the compressed-instance engine.
+// run evaluates query on doc via the compressed-instance engine and checks
+// the materialized result instance's invariants.
 func run(t *testing.T, doc []byte, query string) *engine.Result {
 	t.Helper()
 	prog, err := xpath.CompileQuery(query)
@@ -27,11 +28,12 @@ func run(t *testing.T, doc []byte, query string) *engine.Result {
 	if err != nil {
 		t.Fatalf("build %q: %v", query, err)
 	}
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		t.Fatalf("run %q: %v", query, err)
 	}
-	if err := res.Instance.Validate(); err != nil {
+	mat, _ := res.Materialize()
+	if err := mat.Validate(); err != nil {
 		t.Fatalf("query %q broke instance invariants: %v", query, err)
 	}
 	return res
@@ -216,12 +218,13 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 			t.Logf("build: %v", err)
 			return false
 		}
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 		if err != nil {
 			t.Logf("engine %q: %v", query, err)
 			return false
 		}
-		if err := res.Instance.Validate(); err != nil {
+		mat, _ := res.Materialize()
+		if err := mat.Validate(); err != nil {
 			t.Logf("invariants after %q: %v", query, err)
 			return false
 		}
@@ -268,11 +271,12 @@ func TestDifferentialSelectedSetsExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 		if err != nil {
 			return false
 		}
-		full, err := dag.Decompress(res.Instance, 1<<20)
+		mat, lbl := res.Materialize()
+		full, err := dag.Decompress(mat, 1<<20)
 		if err != nil {
 			return false
 		}
@@ -280,7 +284,7 @@ func TestDifferentialSelectedSetsExactly(t *testing.T) {
 		var sel []bool
 		var walk func(v dag.VertexID)
 		walk = func(v dag.VertexID) {
-			sel = append(sel, full.Verts[v].Labels.Has(res.Label))
+			sel = append(sel, full.Verts[v].Labels.Has(lbl))
 			for _, e := range full.Verts[v].Edges {
 				walk(e.Child)
 			}
@@ -339,7 +343,7 @@ func TestRecompress(t *testing.T) {
 
 func TestSelectedPathsThroughEngine(t *testing.T) {
 	res := run(t, []byte(bibXML), `//paper/author`)
-	paths := dag.SelectedPaths(res.Instance, res.Label, 10)
+	paths := res.View.Paths(10)
 	// bib is child 1 of the document node; papers are its children 2,3;
 	// each author is child 2 of its paper.
 	want := []string{"1.2.2", "1.3.2"}
@@ -371,7 +375,7 @@ func TestQueryOnUncompressedTreeAlsoWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(tree, prog)
+	res, err := engine.RunFrozen(dag.Freeze(tree), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +396,8 @@ func TestResultInstanceStillRepresentsDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dag.Equivalent(res.Instance.Reduct(nil), bare) {
+	mat, _ := res.Materialize()
+	if !dag.Equivalent(mat.Reduct(nil), bare) {
 		t.Fatal("query evaluation changed the underlying document structure")
 	}
 }

@@ -1,0 +1,62 @@
+package engine
+
+import (
+	"context"
+	"runtime"
+	"sync"
+)
+
+// ForEach runs fn(i) for i in [0, n) on a bounded pool of worker
+// goroutines and waits for all of them — the one worker-pool loop shared
+// by the archive store's fan-outs, core.Pool and the experiment harness.
+// workers <= 0 selects GOMAXPROCS; fn must be safe for concurrent
+// invocation on distinct indices.
+func ForEach(n, workers int, fn func(int)) {
+	_ = ForEachCtx(context.Background(), n, workers, fn)
+}
+
+// ForEachCtx is ForEach with cooperative cancellation: once ctx is done
+// no further indices are dispatched (indices already running finish —
+// fn is never interrupted mid-call) and the context's error is
+// returned. Indices that were never dispatched are simply skipped;
+// callers that need per-index disposition should check ctx in fn.
+func ForEachCtx(ctx context.Context, n, workers int, fn func(int)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	done := ctx.Done()
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fn(i)
+		}
+		return nil
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-done:
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
+	return ctx.Err()
+}

@@ -9,15 +9,16 @@ import (
 	"repro/internal/xpath"
 )
 
-// RunFrozen executes prog against a frozen (immutable, shared) instance —
-// the zero-clone read path. Where Run consumes a private copy of the
-// instance, RunFrozen reads the base that every in-flight query of the
-// document shares and confines all writes to a pooled per-query overlay:
-// selections live in dense bitset columns, and the decompressing axes
-// append copy-on-write extension vertices instead of rebuilding the DAG.
+// RunFrozen executes prog against a frozen (immutable, shared) instance.
+// It reads the base that every in-flight query of the document shares and
+// confines all writes to a pooled per-query overlay: selections live in
+// dense bitset columns, and the decompressing axes append copy-on-write
+// extension vertices instead of rebuilding the DAG.
 // Nothing is interned into the shared schema and no vertex of the base is
 // ever touched, so any number of RunFrozen calls may run concurrently
-// over one Frozen.
+// over one Frozen. Relations the program references (tags, string
+// conditions) that are absent from the instance's schema select nothing,
+// matching documents that simply lack the tag.
 //
 // The returned Result carries a detached View instead of an Instance;
 // counts are computed eagerly, and Materialize (or the Result accessors

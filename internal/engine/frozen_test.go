@@ -2,10 +2,11 @@ package engine_test
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/baseline"
 	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/dagtest"
@@ -26,60 +27,61 @@ func buildFor(t *testing.T, doc []byte, prog *xpath.Program) *dag.Instance {
 	return inst
 }
 
-// compareCloneOverlay runs prog both ways on inst and fails on any
-// divergence: the Figure 7 statistics, the full result address list, and
-// the materialized overlay instance's structural invariants.
-func compareCloneOverlay(t *testing.T, inst *dag.Instance, prog *xpath.Program, ctx string) {
+// compareOverlayBaseline runs prog on inst with the overlay evaluator and
+// fails on any divergence from the reference evaluator (internal/baseline)
+// over doc's uncompressed tree — the selected-node count and the full
+// result address list — or on a materialized result instance that breaks
+// the structural invariants or disagrees with the reported statistics.
+func compareOverlayBaseline(t *testing.T, doc []byte, inst *dag.Instance, prog *xpath.Program, ctx string) {
 	t.Helper()
-	f := dag.Freeze(inst)
-
-	clone, err := engine.Run(inst.Clone(), prog)
-	if err != nil {
-		t.Fatalf("%s: clone run: %v", ctx, err)
-	}
-	overlay, err := engine.RunFrozen(f, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		t.Fatalf("%s: overlay run: %v", ctx, err)
 	}
-
-	if clone.SelectedDAG != overlay.SelectedDAG ||
-		clone.SelectedTree != overlay.SelectedTree {
-		t.Fatalf("%s: selection diverges: clone (%d dag, %d tree) vs overlay (%d dag, %d tree)",
-			ctx, clone.SelectedDAG, clone.SelectedTree, overlay.SelectedDAG, overlay.SelectedTree)
+	tree, err := baseline.Build(doc, prog.Strings)
+	if err != nil {
+		t.Fatalf("%s: baseline build: %v", ctx, err)
 	}
-	if clone.VertsBefore != overlay.VertsBefore || clone.EdgesBefore != overlay.EdgesBefore ||
-		clone.VertsAfter != overlay.VertsAfter || clone.EdgesAfter != overlay.EdgesAfter {
-		t.Fatalf("%s: sizes diverge: clone %d/%d -> %d/%d vs overlay %d/%d -> %d/%d",
-			ctx, clone.VertsBefore, clone.EdgesBefore, clone.VertsAfter, clone.EdgesAfter,
-			overlay.VertsBefore, overlay.EdgesBefore, overlay.VertsAfter, overlay.EdgesAfter)
+	want, err := baseline.Eval(tree, prog)
+	if err != nil {
+		t.Fatalf("%s: baseline eval: %v", ctx, err)
 	}
 
+	if n := uint64(baseline.Count(want)); res.SelectedTree != n {
+		t.Fatalf("%s: overlay selects %d tree nodes, baseline %d", ctx, res.SelectedTree, n)
+	}
 	const maxPaths = 1 << 20
-	clonePaths := dag.SelectedPaths(clone.Instance, clone.Label, maxPaths)
-	viewPaths := overlay.View.Paths(maxPaths)
-	if !reflect.DeepEqual(clonePaths, viewPaths) {
-		t.Fatalf("%s: paths diverge:\nclone:   %v\noverlay: %v", ctx, clonePaths, viewPaths)
+	wantPaths := dagtest.BaselinePaths(tree, want)
+	if got := res.View.Paths(maxPaths); !slices.Equal(got, wantPaths) {
+		t.Fatalf("%s: paths diverge:\noverlay:  %v\nbaseline: %v", ctx, got, wantPaths)
+	}
+	if res.VertsBefore != inst.NumVertices() || res.EdgesBefore != inst.NumEdges() {
+		t.Fatalf("%s: before-sizes %d/%d, instance has %d/%d",
+			ctx, res.VertsBefore, res.EdgesBefore, inst.NumVertices(), inst.NumEdges())
 	}
 
-	mat, lbl := overlay.Materialize()
+	mat, lbl := res.Materialize()
 	if err := mat.Validate(); err != nil {
 		t.Fatalf("%s: materialized overlay result invalid: %v", ctx, err)
 	}
-	if got := mat.CountSelected(lbl); got != overlay.SelectedDAG {
-		t.Fatalf("%s: materialized selection %d, view %d", ctx, got, overlay.SelectedDAG)
+	if mat.NumVertices() != res.VertsAfter || mat.NumEdges() != res.EdgesAfter {
+		t.Fatalf("%s: materialized %d/%d vertices/edges, after-sizes %d/%d",
+			ctx, mat.NumVertices(), mat.NumEdges(), res.VertsAfter, res.EdgesAfter)
 	}
-	if got := mat.CountSelectedTree(lbl); got != overlay.SelectedTree {
-		t.Fatalf("%s: materialized tree selection %d, view %d", ctx, got, overlay.SelectedTree)
+	if got := mat.CountSelected(lbl); got != res.SelectedDAG {
+		t.Fatalf("%s: materialized selection %d, view %d", ctx, got, res.SelectedDAG)
 	}
-	matPaths := dag.SelectedPaths(mat, lbl, maxPaths)
-	if !reflect.DeepEqual(clonePaths, matPaths) {
-		t.Fatalf("%s: materialized paths diverge:\nclone:        %v\nmaterialized: %v", ctx, clonePaths, matPaths)
+	if got := mat.CountSelectedTree(lbl); got != res.SelectedTree {
+		t.Fatalf("%s: materialized tree selection %d, view %d", ctx, got, res.SelectedTree)
+	}
+	if got := dag.SelectedPaths(mat, lbl, maxPaths); !slices.Equal(got, wantPaths) {
+		t.Fatalf("%s: materialized paths diverge:\nmaterialized: %v\nbaseline:     %v", ctx, got, wantPaths)
 	}
 }
 
-// TestOverlayGoldenCorpora is the golden overlay-vs-clone equality sweep:
-// every corpus × every query, on compressed instances distilled over each
-// query's schema.
+// TestOverlayGoldenCorpora is the golden overlay-vs-baseline equality
+// sweep: every corpus × every query, on compressed instances distilled
+// over each query's schema.
 func TestOverlayGoldenCorpora(t *testing.T) {
 	for _, c := range corpus.Catalog() {
 		doc := c.Generate(c.DefaultScale/12+2, 7)
@@ -89,7 +91,7 @@ func TestOverlayGoldenCorpora(t *testing.T) {
 				t.Fatalf("%s Q%d: %v", c.Name, qi+1, err)
 			}
 			inst := buildFor(t, doc, prog)
-			compareCloneOverlay(t, inst, prog, c.Name+" Q"+string(rune('1'+qi)))
+			compareOverlayBaseline(t, doc, inst, prog, c.Name+" Q"+string(rune('1'+qi)))
 		}
 	}
 }
@@ -111,7 +113,7 @@ func TestOverlayGoldenFullTag(t *testing.T) {
 			if len(prog.Strings) > 0 {
 				continue // string marks are absent from a pure tag instance
 			}
-			compareCloneOverlay(t, inst, prog, c.Name+" full-tag Q"+string(rune('1'+qi)))
+			compareOverlayBaseline(t, doc, inst, prog, c.Name+" full-tag Q"+string(rune('1'+qi)))
 		}
 	}
 }
@@ -151,12 +153,12 @@ func TestOverlayAxes(t *testing.T) {
 			t.Fatalf("%q: %v", q, err)
 		}
 		inst := buildFor(t, doc, prog)
-		compareCloneOverlay(t, inst, prog, q)
+		compareOverlayBaseline(t, doc, inst, prog, q)
 	}
 }
 
-// TestOverlayPropertyRandom cross-checks clone and overlay evaluation on
-// random trees and random queries.
+// TestOverlayPropertyRandom cross-checks overlay and baseline evaluation
+// on random trees and random queries.
 func TestOverlayPropertyRandom(t *testing.T) {
 	tags := []string{"t0", "t1", "t2"}
 	words := []string{"alpha", "beta", "veto"}
@@ -176,7 +178,7 @@ func TestOverlayPropertyRandom(t *testing.T) {
 				t.Logf("build %q: %v", q, err)
 				return false
 			}
-			compareCloneOverlay(t, inst, prog, q+" on "+string(doc))
+			compareOverlayBaseline(t, doc, inst, prog, q+" on "+string(doc))
 		}
 		return true
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
@@ -34,7 +35,7 @@ func TestManySchemaLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestHugeSiblingRun(t *testing.T) {
 	if inst.NumVertices() > 5 {
 		t.Fatalf("instance has %d vertices; run should collapse", inst.NumVertices())
 	}
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestHugeSiblingRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := engine.Run(inst2, prog2)
+	res2, err := engine.RunFrozen(dag.Freeze(inst2), prog2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestWideRandomAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/corpus"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
@@ -113,7 +114,7 @@ func RunQuery(corpusName string, qnum int, query string, doc []byte) (Fig7Row, e
 	}
 	parse := time.Since(t0)
 	t1 := time.Now()
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return Fig7Row{}, fmt.Errorf("%s Q%d: %w", corpusName, qnum, err)
 	}
@@ -192,17 +193,17 @@ func growthPoint(doc []byte, k int, query string) (GrowthPoint, error) {
 	if err != nil {
 		return GrowthPoint{}, err
 	}
-	before := inst.NumVertices()
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return GrowthPoint{}, err
 	}
+	grown, _ := res.Materialize()
 	return GrowthPoint{
 		Steps:       k,
 		Query:       query,
-		VertsBefore: before,
-		VertsAfter:  res.Instance.NumVertices(),
-		TreeSize:    res.Instance.TreeSize(),
+		VertsBefore: res.VertsBefore,
+		VertsAfter:  res.VertsAfter,
+		TreeSize:    grown.TreeSize(),
 	}, nil
 }
 
@@ -254,7 +255,7 @@ func VsBaseline(sizeScale float64, seed uint64) ([]VsBaselineRow, error) {
 				return nil, err
 			}
 			t0 := time.Now()
-			res, err := engine.Run(inst, prog)
+			res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 			if err != nil {
 				return nil, err
 			}

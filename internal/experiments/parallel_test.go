@@ -2,12 +2,12 @@ package experiments_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
 )
@@ -16,18 +16,24 @@ import (
 // generator's planted query structures.
 const goldenScale = 0.05
 
-// shardCase is one (corpus, query) instance with its sequential result.
-type shardCase struct {
+// goldenCase is one (corpus, query) frozen instance with its sequential
+// result: the Figure 7 statistics, every result path and the
+// materialized result instance.
+type goldenCase struct {
 	corpus string
 	qnum   int
-	inst   *dag.Instance
+	f      *dag.Frozen
 	prog   *xpath.Program
 	seq    *engine.Result
+	paths  []string
+	inst   string
 }
 
-func buildGoldenCases(t *testing.T) []*shardCase {
+const goldenMaxPaths = 1 << 20
+
+func buildGoldenCases(t *testing.T) []*goldenCase {
 	t.Helper()
-	var cases []*shardCase
+	var cases []*goldenCase
 	for _, c := range corpus.Catalog() {
 		scale := int(float64(c.DefaultScale) * goldenScale)
 		if scale < 1 {
@@ -45,43 +51,68 @@ func buildGoldenCases(t *testing.T) []*shardCase {
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", c.Name, qi+1, err)
 			}
-			seq, err := engine.Run(inst.Clone(), prog)
+			f := dag.Freeze(inst)
+			seq, err := engine.RunFrozen(f, prog)
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", c.Name, qi+1, err)
 			}
-			cases = append(cases, &shardCase{corpus: c.Name, qnum: qi + 1, inst: inst, prog: prog, seq: seq})
+			mat, _ := seq.Materialize()
+			cases = append(cases, &goldenCase{
+				corpus: c.Name, qnum: qi + 1, f: f, prog: prog, seq: seq,
+				paths: seq.View.Paths(goldenMaxPaths), inst: mat.String(),
+			})
 		}
 	}
 	return cases
 }
 
-// TestParallelGoldenAllCorpora is the golden equivalence suite: for EVERY
-// corpus generator and EVERY experiment query, engine.RunParallel (at
-// several worker counts) must produce output byte-identical to the
-// sequential engine — same selection sizes, same vertex/edge counts, and
-// the same partially decompressed instance, vertex for vertex.
+// diverges describes how r differs from the case's sequential result, or
+// returns "" when it is identical: same selection sizes, same vertex/edge
+// counts, same result paths and the same materialized instance, vertex
+// for vertex.
+func (gc *goldenCase) diverges(r *engine.Result) string {
+	s := gc.seq
+	switch {
+	case r.SelectedDAG != s.SelectedDAG || r.SelectedTree != s.SelectedTree:
+		return fmt.Sprintf("selected %d/%d, sequential %d/%d",
+			r.SelectedDAG, r.SelectedTree, s.SelectedDAG, s.SelectedTree)
+	case r.VertsBefore != s.VertsBefore || r.EdgesBefore != s.EdgesBefore ||
+		r.VertsAfter != s.VertsAfter || r.EdgesAfter != s.EdgesAfter:
+		return fmt.Sprintf("sizes %d/%d->%d/%d, sequential %d/%d->%d/%d",
+			r.VertsBefore, r.EdgesBefore, r.VertsAfter, r.EdgesAfter,
+			s.VertsBefore, s.EdgesBefore, s.VertsAfter, s.EdgesAfter)
+	case !slices.Equal(r.View.Paths(goldenMaxPaths), gc.paths):
+		return "result paths differ from the sequential run"
+	}
+	if mat, _ := r.Materialize(); mat.String() != gc.inst {
+		return "materialized result instance differs from the sequential run"
+	}
+	return ""
+}
+
+// TestParallelGoldenAllCorpora is the golden equivalence suite for
+// concurrent evaluation: for EVERY corpus generator and EVERY experiment
+// query, several RunFrozen calls sharing one frozen instance (at several
+// worker counts) must each produce output identical to a sequential run —
+// the shape of a server answering the same query for many clients.
 func TestParallelGoldenAllCorpora(t *testing.T) {
-	for _, sc := range buildGoldenCases(t) {
-		sc := sc
-		t.Run(fmt.Sprintf("%s/Q%d", sc.corpus, sc.qnum), func(t *testing.T) {
+	for _, gc := range buildGoldenCases(t) {
+		gc := gc
+		t.Run(fmt.Sprintf("%s/Q%d", gc.corpus, gc.qnum), func(t *testing.T) {
+			const runs = 4
 			for _, workers := range []int{1, 4} {
-				merged, err := engine.RunParallel([]*dag.Instance{sc.inst.Clone()}, sc.prog, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				r := merged.Shards[0]
-				if r.SelectedDAG != sc.seq.SelectedDAG || r.SelectedTree != sc.seq.SelectedTree {
-					t.Fatalf("workers=%d: selected %d/%d, sequential %d/%d",
-						workers, r.SelectedDAG, r.SelectedTree, sc.seq.SelectedDAG, sc.seq.SelectedTree)
-				}
-				if r.VertsBefore != sc.seq.VertsBefore || r.EdgesBefore != sc.seq.EdgesBefore ||
-					r.VertsAfter != sc.seq.VertsAfter || r.EdgesAfter != sc.seq.EdgesAfter {
-					t.Fatalf("workers=%d: sizes %d/%d->%d/%d, sequential %d/%d->%d/%d",
-						workers, r.VertsBefore, r.EdgesBefore, r.VertsAfter, r.EdgesAfter,
-						sc.seq.VertsBefore, sc.seq.EdgesBefore, sc.seq.VertsAfter, sc.seq.EdgesAfter)
-				}
-				if got, want := r.Instance.String(), sc.seq.Instance.String(); got != want {
-					t.Fatalf("workers=%d: result instance differs from sequential engine", workers)
+				results := make([]*engine.Result, runs)
+				errs := make([]error, runs)
+				engine.ForEach(runs, workers, func(i int) {
+					results[i], errs[i] = engine.RunFrozen(gc.f, gc.prog)
+				})
+				for i, r := range results {
+					if errs[i] != nil {
+						t.Fatalf("workers=%d run %d: %v", workers, i, errs[i])
+					}
+					if d := gc.diverges(r); d != "" {
+						t.Fatalf("workers=%d run %d: %s", workers, i, d)
+					}
 				}
 			}
 		})
@@ -89,57 +120,26 @@ func TestParallelGoldenAllCorpora(t *testing.T) {
 }
 
 // TestParallelGoldenBatched runs the whole catalog's (corpus, query)
-// instances through ONE RunParallel batch — shards from different corpora
-// with different schemas evaluating side by side — and checks every shard
-// against its sequential result.
+// programs through ONE worker pool — documents from different corpora with
+// different schemas evaluating side by side, several runs per frozen
+// instance — and checks every run against its sequential result.
 func TestParallelGoldenBatched(t *testing.T) {
 	cases := buildGoldenCases(t)
-	// All cases share a program only per-shard; RunParallel takes one
-	// program, so batch per query number across corpora is not possible
-	// in a single call. Instead batch all shards of each corpus's query
-	// set that share a program: group by (corpus, query) is singleton,
-	// so exercise the multi-shard path with replicated instances.
-	for _, sc := range cases {
-		const replicas = 5
-		insts := make([]*dag.Instance, replicas)
-		for i := range insts {
-			insts[i] = sc.inst.Clone()
+	const replicas = 5
+	n := len(cases) * replicas
+	results := make([]*engine.Result, n)
+	errs := make([]error, n)
+	engine.ForEach(n, 3, func(i int) {
+		gc := cases[i%len(cases)]
+		results[i], errs[i] = engine.RunFrozen(gc.f, gc.prog)
+	})
+	for i, r := range results {
+		gc := cases[i%len(cases)]
+		if errs[i] != nil {
+			t.Fatalf("%s Q%d run %d: %v", gc.corpus, gc.qnum, i, errs[i])
 		}
-		merged, err := engine.RunParallel(insts, sc.prog, 3)
-		if err != nil {
-			t.Fatalf("%s Q%d: %v", sc.corpus, sc.qnum, err)
-		}
-		if merged.SelectedDAG != replicas*sc.seq.SelectedDAG ||
-			merged.SelectedTree != uint64(replicas)*sc.seq.SelectedTree {
-			t.Fatalf("%s Q%d: merged %d/%d, want %dx sequential %d/%d",
-				sc.corpus, sc.qnum, merged.SelectedDAG, merged.SelectedTree,
-				replicas, sc.seq.SelectedDAG, sc.seq.SelectedTree)
-		}
-		for i, r := range merged.Shards {
-			if r.Instance.String() != sc.seq.Instance.String() {
-				t.Fatalf("%s Q%d shard %d: instance differs from sequential", sc.corpus, sc.qnum, i)
-			}
-		}
-	}
-}
-
-// TestParallelSweepConsistency: the sweep itself verifies merged-result
-// equality across worker counts; this exercises it end to end on a small
-// corpus and sanity-checks the row shape.
-func TestParallelSweepConsistency(t *testing.T) {
-	rows, err := experiments.ParallelSweep("DBLP", 3, 0.02, 1, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5*3 {
-		t.Fatalf("got %d rows, want %d", len(rows), 5*3)
-	}
-	for _, r := range rows {
-		if r.Docs != 3 || r.Wall <= 0 || r.Speedup <= 0 {
-			t.Fatalf("malformed row %+v", r)
-		}
-		if r.Workers == 1 && r.Speedup != 1.0 {
-			t.Fatalf("workers=1 row must have speedup 1.0: %+v", r)
+		if d := gc.diverges(r); d != "" {
+			t.Fatalf("%s Q%d run %d: %s", gc.corpus, gc.qnum, i, d)
 		}
 	}
 }

@@ -12,10 +12,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dag"
-	"repro/internal/engine"
 	"repro/internal/store"
-	"repro/internal/xpath"
 )
 
 // StoreRow is one measurement of the server-throughput experiment: one
@@ -37,14 +34,6 @@ type StoreRow struct {
 	ParseWall time.Duration
 	StoreWall time.Duration
 	Speedup   float64
-
-	// CloneWall replays the pre-overlay serving mode for tag-only
-	// queries: every cached base is deep-cloned and evaluated with the
-	// consuming engine (engine.RunParallel) at the same worker count.
-	// OverlaySpeedup = CloneWall / StoreWall — the clone-vs-overlay win.
-	// Zero for string-condition queries (the clone path has no marks).
-	CloneWall      time.Duration
-	OverlaySpeedup float64
 
 	// StoreAllocs is the heap allocations per document-query of the
 	// measured warm store run (runtime.MemStats delta / docs).
@@ -200,11 +189,6 @@ func StoreSweep(corpusName string, docs int, sizeScale float64, seed uint64,
 					fullWall = time.Since(t2)
 				}
 
-				cloneWall, err := cloneServe(s, q, w)
-				if err != nil {
-					return nil, fmt.Errorf("store sweep: %s Q%d clone baseline: %w", corpusName, qi+1, err)
-				}
-
 				t1 := time.Now()
 				parsed, err := pool.QueryAll(q)
 				if err != nil {
@@ -235,7 +219,6 @@ func StoreSweep(corpusName string, docs int, sizeScale float64, seed uint64,
 					CacheBytes: budget, CacheFrac: frac,
 					ParseWall: parseWall, StoreWall: storeWall,
 					Speedup:      float64(parseWall) / float64(storeWall),
-					CloneWall:    cloneWall,
 					StoreAllocs:  storeAllocs,
 					Hits:         after.DocHits - before.DocHits,
 					Misses:       after.DocMisses - before.DocMisses,
@@ -253,9 +236,6 @@ func StoreSweep(corpusName string, docs int, sizeScale float64, seed uint64,
 				if row.DocsPruned > 0 {
 					row.PruneSpeedup = float64(fullWall) / float64(storeWall)
 				}
-				if cloneWall > 0 {
-					row.OverlaySpeedup = float64(cloneWall) / float64(storeWall)
-				}
 				rows = append(rows, row)
 			}
 		}
@@ -263,57 +243,15 @@ func StoreSweep(corpusName string, docs int, sizeScale float64, seed uint64,
 	return rows, nil
 }
 
-// cloneServe replays the pre-overlay serving mode: clone every cached
-// base on the worker pool and fan the program out with the consuming
-// engine. Returns 0 for string-condition programs, which that mode
-// cannot serve from a tag-only base.
-func cloneServe(s *store.Store, query string, workers int) (time.Duration, error) {
-	prog, err := xpath.CompileQuery(query)
-	if err != nil {
-		return 0, err
-	}
-	if len(prog.Strings) > 0 {
-		return 0, nil
-	}
-	// The doc fetches are timed like QueryAll's are — on the worker
-	// pool: cache hits when warm, decode churn when the budget forces
-	// eviction.
-	names := s.Names()
-	t0 := time.Now()
-	docs := make([]*store.Doc, len(names))
-	errs := make([]error, len(names))
-	engine.ForEach(len(names), workers, func(i int) {
-		docs[i], errs[i] = s.Doc(names[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	clones := make([]*dag.Instance, len(docs))
-	engine.ForEach(len(docs), workers, func(i int) {
-		clones[i] = docs[i].Prepared().CloneBase()
-	})
-	if _, err := engine.RunParallel(clones, prog, workers); err != nil {
-		return 0, err
-	}
-	return time.Since(t0), nil
-}
-
 // PrintStore renders sweep rows as a table.
 func PrintStore(w io.Writer, rows []StoreRow) {
-	fmt.Fprintf(w, "%-12s %3s %5s %8s %6s %12s %12s %12s %8s %8s %9s %6s %7s %6s %6s %8s %11s\n",
-		"corpus", "Q", "docs", "workers", "cache", "parse/query", "clone", "store", "speedup", "ovl-spd", "allocs/op", "hits", "misses", "evict", "pruned", "prn-spd", "sel(tree)")
+	fmt.Fprintf(w, "%-12s %3s %5s %8s %6s %12s %12s %8s %9s %6s %7s %6s %6s %8s %11s\n",
+		"corpus", "Q", "docs", "workers", "cache", "parse/query", "store", "speedup", "allocs/op", "hits", "misses", "evict", "pruned", "prn-spd", "sel(tree)")
 	for _, r := range rows {
-		ovl := "     -"
-		if r.OverlaySpeedup > 0 {
-			ovl = fmt.Sprintf("%7.2fx", r.OverlaySpeedup)
-		}
-		fmt.Fprintf(w, "%-12s %3d %5d %8d %5.0f%% %12v %12v %12v %7.2fx %8s %9d %6d %7d %6d %6d %7.2fx %11d\n",
+		fmt.Fprintf(w, "%-12s %3d %5d %8d %5.0f%% %12v %12v %7.2fx %9d %6d %7d %6d %6d %7.2fx %11d\n",
 			r.Corpus, r.Query, r.Docs, r.Workers, 100*r.CacheFrac,
-			r.ParseWall.Round(time.Microsecond), r.CloneWall.Round(time.Microsecond),
-			r.StoreWall.Round(time.Microsecond),
-			r.Speedup, ovl, r.StoreAllocs, r.Hits, r.Misses, r.Evictions,
+			r.ParseWall.Round(time.Microsecond), r.StoreWall.Round(time.Microsecond),
+			r.Speedup, r.StoreAllocs, r.Hits, r.Misses, r.Evictions,
 			r.DocsPruned, r.PruneSpeedup, r.SelectedTree)
 	}
 }

@@ -116,7 +116,7 @@ func TestQueryAllMatchesPerDocQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One tag-only query (engine.RunParallel path) and one with a string
+	// One tag-only query (shared frozen base) and one with a string
 	// condition (per-document distillation path).
 	for _, q := range []string{`//author`, `//article[author["Codd"]]`} {
 		results, err := s.QueryAll(q)
