@@ -48,7 +48,7 @@ func finish(t *testing.T, ov *dag.Overlay, col int) outcome {
 	t.Helper()
 	o := outcome{tree: ov.SelectedTree(col), dag: ov.CountCol(col), rewritten: ov.Rewritten()}
 	o.verts, o.edges = ov.LiveCounts()
-	o.inst, o.lbl = ov.Detach(col).Materialize()
+	o.inst, o.lbl = ov.Detach(col, o.tree).Materialize()
 	if err := o.inst.Validate(); err != nil {
 		t.Fatalf("result instance invalid: %v\n%s", err, o.inst)
 	}
@@ -310,6 +310,71 @@ func TestDoublingBound(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWholeGraphSteps pins the downward axis's whole-graph answers, before
+// and after a rewrite has split vertices: descendant-or-self({root}) is
+// every live vertex, descendant({root}) and child(V) every live vertex
+// but the root, none of them grows the graph, and a label read after the
+// rewrite still selects exactly the document's labelled nodes.
+func TestWholeGraphSteps(t *testing.T) {
+	const (
+		lbl = iota
+		split
+		root
+		all
+		out
+		scratchA
+		scratchB
+		cols
+	)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		in := dag.Compress(dagtest.RandomTree(r, 60, 4, 3))
+		if in.Schema.Len() == 0 {
+			return true
+		}
+		tree := in.TreeSize()
+		name := in.Schema.Name(label.ID(r.Intn(in.Schema.Len())))
+		want := in.CountSelectedTree(in.Schema.Lookup(name))
+		ov := acquire(in, cols)
+		defer ov.Release()
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				// Split runs and shared vertices, then check again.
+				algebra.OvLabel(ov, name, lbl)
+				algebra.OvApplyAxis(ov, algebra.FollowingSibling, lbl, split, scratchA, scratchB)
+			}
+			algebra.OvLabel(ov, name, lbl)
+			if got := ov.SelectedTree(lbl); got != want {
+				t.Logf("pass %d: label %s selects %d nodes, want %d", pass, name, got, want)
+				return false
+			}
+			n := ov.N()
+			algebra.OvRoot(ov, root)
+			algebra.OvAll(ov, all)
+			for _, tc := range []struct {
+				axis algebra.Axis
+				src  int
+				want uint64
+			}{
+				{algebra.DescendantOrSelf, root, tree},
+				{algebra.Descendant, root, tree - 1},
+				{algebra.Child, all, tree - 1},
+			} {
+				algebra.OvApplyAxis(ov, tc.axis, tc.src, out, scratchA, scratchB)
+				if got := ov.SelectedTree(out); got != tc.want || ov.N() != n {
+					t.Logf("pass %d: %v selects %d of %d nodes (want %d), vertices %d -> %d",
+						pass, tc.axis, got, tree, tc.want, n, ov.N())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,20 +24,12 @@ import (
 // name, or with the empty set if the document does not define it.
 func OvLabel(ov *dag.Overlay, name string, dst int) {
 	d := ov.Col(dst)
-	d.Zero()
 	id := ov.Frozen().Instance().Schema.Lookup(name)
 	if id == label.Invalid {
+		d.Zero()
 		return
 	}
-	if !ov.Rewritten() {
-		d.CopyFrom(ov.Frozen().LabelCol(id))
-		return
-	}
-	for _, v := range ov.Order() {
-		if ov.Labels(v).Has(id) {
-			d.Set(v)
-		}
-	}
+	ov.FillLabel(d, id)
 }
 
 // OvAll sets dst := V (every live vertex).
@@ -180,6 +172,12 @@ func ovUpward(ov *dag.Overlay, axis Axis, src, dst int) {
 // vertices on or above a genuine split are copied, which realises the
 // at-most-doubling bound of Proposition 3.2 while typically touching far
 // less than the document.
+//
+// Steps over the whole graph skip both passes. Every live vertex is
+// reachable from the root and only the root has no parent, so
+// descendant-or-self(S) with the root in S is the live set, and
+// descendant(S) with the root in S, like child(V), is the live set minus
+// the root; none of them splits a vertex.
 func ovDownward(ov *dag.Overlay, axis Axis, src, dst int) {
 	d := ov.Col(dst)
 	d.Zero()
@@ -188,6 +186,15 @@ func ovDownward(ov *dag.Overlay, axis Axis, src, dst int) {
 		return
 	}
 	s := ov.Col(src)
+	switch {
+	case axis == DescendantOrSelf && s.Get(root):
+		ov.FillLive(d)
+		return
+	case axis == Descendant && s.Get(root), axis == Child && ov.IsLive(s):
+		ov.FillLive(d)
+		d.Clear(root)
+		return
+	}
 	order := ov.Order()
 	needF, needT := ov.NeedScratch()
 	rootSel := axis == DescendantOrSelf && s.Get(root)
@@ -285,9 +292,9 @@ func ovDownward(ov *dag.Overlay, axis Axis, src, dst int) {
 			case !diverged:
 				// Edges unchanged but the identity slot is taken by the
 				// other variant: copy sharing the (read-only) edge slice.
-				id = rw.Append(v, edges)
+				id = rw.AppendShared(v, v)
 			default:
-				plan := ov.PlanScratch()
+				plan := rw.Plan()
 				for _, e := range edges {
 					sw := vi || (sv && axis != Child) || (dos && s.Get(e.Child))
 					rep := repF[e.Child]
@@ -296,8 +303,7 @@ func ovDownward(ov *dag.Overlay, axis Axis, src, dst int) {
 					}
 					plan = append(plan, dag.Edge{Child: rep, Count: e.Count})
 				}
-				id = rw.Append(v, append([]dag.Edge(nil), plan...))
-				ov.KeepPlanScratch(plan)
+				id = rw.Append(v, plan)
 			}
 			liveEdges += len(edges)
 			if sv {
@@ -405,9 +411,9 @@ func ovSibling(ov *dag.Overlay, axis Axis, src, dst int) {
 			}
 		}
 		identical := untouched
-		var planCopy []dag.Edge // non-nil when the edge list changed
+		var plan []dag.Edge // the new edge list, when it changed
 		if !untouched {
-			plan := ov.PlanScratch()
+			plan = rw.Plan()
 			emit := func(c dag.VertexID, count uint32, sel bool) {
 				if count == 0 {
 					return
@@ -446,26 +452,28 @@ func ovSibling(ov *dag.Overlay, axis Axis, src, dst int) {
 				plan = mergeRuns(plan)
 			}
 			identical = planEqual(plan, edges)
-			if !identical {
-				planCopy = append([]dag.Edge(nil), plan...)
-			}
-			ov.KeepPlanScratch(plan)
 		}
 
+		// The first copy of a changed vertex takes the plan; a second
+		// shares the first's edge list, as an unchanged copy shares v's.
 		idVariantT := nt && !nf
+		first := dag.NilVertex
 		rep := func(isIdentitySlot bool) dag.VertexID {
 			switch {
 			case identical && isIdentitySlot:
 				return v
 			case identical:
-				return rw.Append(v, edges) // share the read-only base slice
+				return rw.AppendShared(v, v)
+			case first == dag.NilVertex:
+				first = rw.Append(v, plan)
+				return first
 			default:
-				return rw.Append(v, planCopy)
+				return rw.AppendShared(v, first)
 			}
 		}
 		nEdges := len(edges)
 		if !identical {
-			nEdges = len(planCopy)
+			nEdges = len(plan)
 		}
 		if nf {
 			repF[v] = rep(!idVariantT)

@@ -7,38 +7,47 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/dagtest"
 	"repro/internal/xpath"
 )
 
 // TestPreparedRunAllocs is the allocation-regression bound for the read
 // path: a warm tag-only Prepared.Run must allocate O(its result) — a
-// detached selection slice, a view and a result struct — never O(|document|)
+// detached selection slice, a view and a result struct, plus one edge
+// arena and one extension slice per rewriting step — never O(|document|)
 // (copying the base instance would cost two allocations per vertex, tens
-// of thousands on this corpus). The absolute bound of 64 allocs/op is the
-// gate; it is generous only because pool refills after a GC cost a few
-// extra allocations.
+// of thousands on these corpora) and never one allocation per vertex a
+// rewrite copies. The absolute bound of 64 allocs/op is the gate; it is
+// generous only because pool refills after a GC cost a few extra
+// allocations.
 func TestPreparedRunAllocs(t *testing.T) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		t.Fatal(err)
+	if dagtest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	doc := core.Load(c.Generate(c.DefaultScale/4, 1))
-	prep, err := doc.Prepare()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
-		name  string
-		query string
-		bound float64
+		name   string
+		corpus string
+		div    int // scale = DefaultScale / div
+		query  int // 0-based appendix query index
 	}{
 		// Q1: condition-only (upward axes, Corollary 3.7).
-		{"upward-only", c.Queries[0], 64},
+		{"upward-only", "SwissProt", 4, 0},
 		// Q2: a chain of child axes (downward, copy-on-write rewrites).
-		{"child-chain", c.Queries[1], 64},
+		{"child-chain", "SwissProt", 4, 1},
+		// Q2 on TreeBank: a child chain whose steps split shared vertices.
+		{"splitting-child-chain", "TreeBank", 8, 1},
+		// Q5 on TreeBank: descendant steps and preceding (sibling rewrites).
+		{"preceding", "TreeBank", 8, 4},
 	} {
-		prog, err := core.Compile(tc.query)
+		c, err := corpus.ByName(tc.corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := core.Load(c.Generate(c.DefaultScale/tc.div, 1)).Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := core.Compile(c.Queries[tc.query])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +64,8 @@ func TestPreparedRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > tc.bound {
-			t.Errorf("%s: Prepared.Run allocates %.0f/op, want <= %.0f", tc.name, allocs, tc.bound)
+		if allocs > 64 {
+			t.Errorf("%s: Prepared.Run allocates %.0f/op, want <= 64", tc.name, allocs)
 		}
 		t.Logf("%s: %.0f allocs/op", tc.name, allocs)
 	}

@@ -23,6 +23,11 @@ func (b Bitset) Set(v VertexID) {
 	b[uint(v)>>6] |= 1 << (uint(v) & 63)
 }
 
+// Clear removes vertex v from the set. v must be < 64*len(b).
+func (b Bitset) Clear(v VertexID) {
+	b[uint(v)>>6] &^= 1 << (uint(v) & 63)
+}
+
 // Zero clears every bit in place.
 func (b Bitset) Zero() {
 	for i := range b {

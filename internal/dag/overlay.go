@@ -27,18 +27,19 @@ import (
 // tracks the live set and a topological order of it, and every operator
 // maintains the invariant that columns only ever contain live bits.
 //
-// Overlays are pooled: AcquireOverlay reuses buffers from earlier
-// queries, and Release returns them. Detach moves the (small) result out
-// of the pooled storage first, so steady-state queries allocate
-// proportionally to their result, not to the document.
+// Overlays are pooled: AcquireOverlay reuses scratch buffers from earlier
+// queries, and Release returns them. What a result can reference — the
+// extension vertices and their edge arenas — is owned by the query and
+// never pooled: Detach hands it to the result view, and Release drops it,
+// so steady-state queries allocate proportionally to their result and to
+// what they split, not to the document.
 type Overlay struct {
 	f    *Frozen
 	base *Instance
 	nb   int // len(base.Verts)
 	root VertexID
 
-	ext       []Vertex   // appended copies; Labels are nil, read via origin
-	extOrigin []VertexID // base origin of each extension vertex
+	ext []extVertex // appended copies, per query
 
 	cols   []Bitset
 	ncols  int // columns active for the current program (cols may retain more from pooled reuse)
@@ -59,9 +60,15 @@ type Overlay struct {
 	// Pooled scratch buffers for rewrites and counting.
 	repF, repT   []VertexID
 	needF, needT Bitset
-	scratchIDs   []VertexID
 	counts       []uint64
-	planBuf      []Edge
+	rw           Rewrite // the rewrite in progress; its buffers are reused
+}
+
+// extVertex is an extension vertex: a copy of the base vertex origin, whose
+// labels it reads, with an edge list of its own.
+type extVertex struct {
+	edges  []Edge
+	origin VertexID
 }
 
 var overlayPool = sync.Pool{New: func() any { return new(Overlay) }}
@@ -84,8 +91,6 @@ func AcquireOverlay(f *Frozen) *Overlay {
 	o.base = f.inst
 	o.nb = len(f.inst.Verts)
 	o.root = f.inst.Root
-	o.ext = o.ext[:0]
-	o.extOrigin = o.extOrigin[:0]
 	o.nwords = bitsetWords(o.nb)
 	o.ncols = 0
 	o.order = nil
@@ -94,13 +99,14 @@ func AcquireOverlay(f *Frozen) *Overlay {
 	return o
 }
 
-// Release returns the overlay's buffers to the pool. The overlay must not
-// be used afterwards; call Detach first to keep the result.
+// Release returns the overlay's scratch buffers to the pool. The overlay
+// must not be used afterwards; call Detach first to keep the result.
 func (o *Overlay) Release() {
 	o.f = nil
 	o.base = nil
-	// ext/extOrigin either were detached (nil) or their backing arrays are
-	// reusable scratch; keep whichever capacity remains.
+	// The extension belongs to this query (or to the view it was detached
+	// into): keeping it in the pool would pin its edge arenas.
+	o.ext = nil
 	overlayLive.Add(-1)
 	overlayPool.Put(o)
 }
@@ -111,9 +117,6 @@ func (o *Overlay) Frozen() *Frozen { return o.f }
 // N returns the current number of vertex IDs (base + extension, including
 // any dead ones).
 func (o *Overlay) N() int { return o.nb + len(o.ext) }
-
-// NumBase returns the base vertex count.
-func (o *Overlay) NumBase() int { return o.nb }
 
 // Root returns the current root vertex.
 func (o *Overlay) Root() VertexID { return o.root }
@@ -126,16 +129,7 @@ func (o *Overlay) Edges(v VertexID) []Edge {
 	if int(v) < o.nb {
 		return o.base.Verts[v].Edges
 	}
-	return o.ext[int(v)-o.nb].Edges
-}
-
-// Labels returns the base label set of v, reading extension vertices
-// through their origin. Read-only.
-func (o *Overlay) Labels(v VertexID) label.Set {
-	if int(v) < o.nb {
-		return o.base.Verts[v].Labels
-	}
-	return o.base.Verts[o.extOrigin[int(v)-o.nb]].Labels
+	return o.ext[int(v)-o.nb].edges
 }
 
 // Order returns a topological order (parents before children) of the live
@@ -168,8 +162,9 @@ func (o *Overlay) EnsureCols(n int) {
 // Col returns column i.
 func (o *Overlay) Col(i int) Bitset { return o.cols[i] }
 
-// ZeroCol clears column i.
-func (o *Overlay) ZeroCol(i int) { o.cols[i].Zero() }
+// Retire marks column i as read by no later operator, so rewrites stop
+// extending and masking it. It must not be read again in this query.
+func (o *Overlay) Retire(i int) { o.cols[i] = o.cols[i][:0] }
 
 // FillLive sets dst to exactly the live vertex set.
 func (o *Overlay) FillLive(dst Bitset) {
@@ -184,6 +179,51 @@ func (o *Overlay) FillLive(dst Bitset) {
 	}
 	if rem := uint(o.nb) & 63; rem != 0 {
 		dst[full] = (1 << rem) - 1
+	}
+}
+
+// IsLive reports whether col holds exactly the live vertex set: a word
+// compare, O(|V|/64), that stops at the first difference.
+func (o *Overlay) IsLive(col Bitset) bool {
+	if o.order != nil {
+		for i, w := range col {
+			if w != o.live[i] {
+				return false
+			}
+		}
+		return true
+	}
+	full := o.nb >> 6
+	for i := 0; i < full; i++ {
+		if col[i] != ^uint64(0) {
+			return false
+		}
+	}
+	if rem := uint(o.nb) & 63; rem != 0 {
+		return col[full] == (1<<rem)-1
+	}
+	return true
+}
+
+// FillLabel sets dst to the live vertices carrying relation id: the
+// frozen base column masked by the live set, plus every live extension
+// vertex whose origin is in that column. No label set is read.
+func (o *Overlay) FillLabel(dst Bitset, id label.ID) {
+	col := o.f.LabelCol(id)
+	if o.order == nil {
+		copy(dst, col)
+		return
+	}
+	for i, w := range col {
+		dst[i] = w & o.live[i]
+	}
+	for i := len(col); i < len(dst); i++ {
+		dst[i] = 0
+	}
+	for k, x := range o.ext {
+		if v := VertexID(o.nb + k); o.live.Get(v) && col.Get(x.origin) {
+			dst.Set(v)
+		}
 	}
 }
 
@@ -231,44 +271,60 @@ func (o *Overlay) NeedScratch() (needF, needT Bitset) {
 	return o.needF, o.needT
 }
 
-// PlanScratch returns a reusable edge buffer for building rewrite plans.
-func (o *Overlay) PlanScratch() []Edge { return o.planBuf[:0] }
-
-// KeepPlanScratch stores buf back as the reusable plan buffer (callers
-// hand back the possibly-grown slice after copying a plan out of it).
-func (o *Overlay) KeepPlanScratch(buf []Edge) { o.planBuf = buf[:0] }
-
-// Rewrite is one decompressing-axis rewrite in progress. Append adds
-// extension vertices; Finish installs the new root, extends every column
-// to the new vertices (inheriting each new vertex's pre-rewrite bits) and
-// recomputes the live set and topological order.
+// Rewrite is one decompressing-axis rewrite in progress. Append and
+// AppendShared add extension vertices; Finish installs them with the new
+// root, extends every column to the new vertices (inheriting each new
+// vertex's pre-rewrite bits) and recomputes the live set and topological
+// order.
+//
+// New edge lists are staged in a buffer the overlay reuses across
+// queries; Finish copies them into one exact-size edge arena per rewrite,
+// which belongs to the query and, after Detach, to its result view.
 type Rewrite struct {
-	o     *Overlay
-	oldN  int
-	start int        // first extension index of this rewrite
-	pre   []VertexID // pre-rewrite source ID of each new vertex
+	o      *Overlay
+	oldN   int
+	added  []addedVertex // the new vertices, in ID order
+	staged []Edge        // their new edge lists, back to back
+}
+
+// addedVertex is one vertex a rewrite appends: a copy of the pre-rewrite
+// vertex pre whose edges are staged[off:off+n], or, when src is not
+// NilVertex, the edge list of vertex src.
+type addedVertex struct {
+	pre, src VertexID
+	off, n   int
 }
 
 // BeginRewrite starts a rewrite.
 func (o *Overlay) BeginRewrite() *Rewrite {
-	return &Rewrite{o: o, oldN: o.N(), start: len(o.ext), pre: o.scratchIDs[:0]}
+	o.rw = Rewrite{o: o, oldN: o.N(), added: o.rw.added[:0], staged: o.rw.staged[:0]}
+	return &o.rw
 }
 
+// Plan returns an empty buffer for building the edge list of the next
+// vertex to Append. It is the unused tail of the staging buffer, so a
+// plan that fits is staged in place.
+func (r *Rewrite) Plan() []Edge { return r.staged[len(r.staged):] }
+
 // Append adds an extension vertex copying pre (a pre-rewrite vertex ID)
-// with the given edge list, and returns its ID. The edge slice is owned
-// by the overlay afterwards (and by the detached result view, so it must
-// be freshly allocated, not pooled scratch).
+// with the given edge list, and returns its ID. edges is copied (usually
+// onto itself, when built in Plan's buffer); the caller may reuse it.
 func (r *Rewrite) Append(pre VertexID, edges []Edge) VertexID {
-	o := r.o
-	id := VertexID(o.N())
-	origin := pre
-	if int(pre) >= o.nb {
-		origin = o.extOrigin[int(pre)-o.nb]
-	}
-	o.ext = append(o.ext, Vertex{Edges: edges})
-	o.extOrigin = append(o.extOrigin, origin)
-	r.pre = append(r.pre, pre)
-	return id
+	off := len(r.staged)
+	r.staged = append(r.staged, edges...)
+	return r.add(addedVertex{pre: pre, src: NilVertex, off: off, n: len(edges)})
+}
+
+// AppendShared adds an extension vertex copying pre whose edge list is
+// that of src — pre itself, or a vertex appended earlier in this rewrite
+// — and returns its ID. The list is shared, not copied.
+func (r *Rewrite) AppendShared(pre, src VertexID) VertexID {
+	return r.add(addedVertex{pre: pre, src: src})
+}
+
+func (r *Rewrite) add(a addedVertex) VertexID {
+	r.added = append(r.added, a)
+	return VertexID(r.oldN + len(r.added) - 1)
 }
 
 // Finish completes the rewrite: newRoot becomes the current root, all
@@ -290,14 +346,41 @@ func (r *Rewrite) Append(pre VertexID, edges []Edge) VertexID {
 // the caller as it resolves representatives.
 func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 	o := r.o
-	o.scratchIDs = r.pre // return (possibly grown) scratch to the overlay
-	if len(r.pre) == 0 {
+	if len(r.added) == 0 {
 		// Every representative kept its identity: the graph, root, live
 		// set and columns are all unchanged.
 		return
 	}
 	oldOrder := o.Order()
 	o.root = newRoot
+
+	// Install the new vertices. The staged edge lists move into one
+	// exact-size arena, which a detached view holds, so it carries no
+	// slack; the extension at least doubles when it grows, so a query's
+	// rewrites copy it O(1) times in all.
+	arena := make([]Edge, len(r.staged))
+	copy(arena, r.staged)
+	ext := o.ext
+	if need := len(ext) + len(r.added); need > cap(ext) {
+		ext = make([]extVertex, len(ext), max(need, 2*cap(ext)))
+		copy(ext, o.ext)
+	}
+	for _, a := range r.added {
+		x := extVertex{origin: a.pre}
+		if int(a.pre) >= o.nb {
+			x.origin = ext[int(a.pre)-o.nb].origin
+		}
+		switch {
+		case a.src == NilVertex:
+			x.edges = arena[a.off : a.off+a.n : a.off+a.n]
+		case int(a.src) < o.nb:
+			x.edges = o.base.Verts[a.src].Edges
+		default:
+			x.edges = ext[int(a.src)-o.nb].edges
+		}
+		ext = append(ext, x)
+	}
+	o.ext = ext
 	n := o.N()
 	o.nwords = bitsetWords(n)
 
@@ -305,8 +388,8 @@ func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 	// bits, so registers written before this rewrite stay valid on the
 	// new graph.
 	for ci := 0; ci < o.ncols; ci++ {
-		if o.cols[ci] == nil {
-			continue
+		if len(o.cols[ci]) == 0 {
+			continue // retired
 		}
 		col := growWords(o.cols[ci], o.nwords)
 		// Clear the words beyond the old length (growWords does not).
@@ -317,8 +400,8 @@ func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 		if rem := uint(r.oldN) & 63; rem != 0 {
 			col[r.oldN>>6] &= (1 << rem) - 1
 		}
-		for k, pre := range r.pre {
-			if col.Get(pre) {
+		for k, a := range r.added {
+			if col.Get(a.pre) {
 				col.Set(VertexID(r.oldN + k))
 			}
 		}
@@ -430,23 +513,21 @@ func ForEachBit(b Bitset, fn func(VertexID)) {
 
 // Detach moves the result selection in column reg out of the pooled
 // overlay into a standalone ResultView: the selected vertex IDs (an
-// O(result) slice) plus the extension vertices, whose backing array the
-// view takes over (a detached extension must survive the overlay's
-// reuse). The overlay remains usable until Release.
-func (o *Overlay) Detach(reg int) *ResultView {
+// O(result) slice) plus the query's extension vertices and edge arenas,
+// which the view takes over. count is the number of tree nodes the
+// selection represents (SelectedTree); the view's Paths stops after that
+// many addresses. The overlay remains usable until Release.
+func (o *Overlay) Detach(reg int, count uint64) *ResultView {
 	col := o.cols[reg]
 	sel := make([]VertexID, 0, col.Count())
 	ForEachBit(col, func(v VertexID) { sel = append(sel, v) })
 	v := &ResultView{
-		f:    o.f,
-		root: o.root,
-		sel:  sel,
+		f:     o.f,
+		root:  o.root,
+		ext:   o.ext,
+		sel:   sel,
+		count: count,
 	}
-	if len(o.ext) > 0 {
-		v.ext = o.ext
-		v.extOrigin = o.extOrigin
-		o.ext = nil
-		o.extOrigin = nil
-	}
+	o.ext = nil
 	return v
 }

@@ -84,7 +84,7 @@ func TestOverlayColumnsAcrossReuse(t *testing.T) {
 			t.Fatalf("round %d: live counts %d/%d", round, verts, edges)
 		}
 		ov.Col(0).Set(ov.Root())
-		view := ov.Detach(0)
+		view := ov.Detach(0, ov.SelectedTree(0))
 		if view.SelectedDAG() != 1 {
 			t.Fatalf("round %d: detached selection %d", round, view.SelectedDAG())
 		}

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/label"
 )
@@ -12,98 +11,150 @@ import (
 // document order, up to max paths. It is the "decode the query result"
 // operation the paper describes for translating a selection on a partially
 // decompressed instance back to the uncompressed tree — a single
-// depth-first traversal, pruned at subtrees that contain no selected
-// vertices, so the cost is proportional to the answer, not the tree.
+// depth-first traversal that descends only into subtrees holding a
+// selected vertex. Whether a subtree holds one is decided lazily, for the
+// children the traversal reaches, and memoised per vertex, so the cost is
+// the addresses emitted plus the subgraphs tested on the way to them;
+// only a walk that runs to its end (fewer than max selected nodes) tests
+// every subtree right of the last one. ResultView.Paths, which knows the
+// selection's tree-node count, stops at the last selected node instead.
 func SelectedPaths(in *Instance, s label.ID, max int) []string {
 	if len(in.Verts) == 0 || max <= 0 {
 		return nil
 	}
-	return selectedPathsFrom(in.Root, len(in.Verts),
+	return selectedPathsFrom(nil, in.Root, len(in.Verts),
 		func(v VertexID) []Edge { return in.Verts[v].Edges },
 		func(v VertexID) bool { return in.Verts[v].Labels.Has(s) },
 		max)
 }
 
 // selectedPathsFrom is the shared traversal behind SelectedPaths and
-// ResultView.Paths: it walks the graph reachable from root through the
-// given edge accessor, pruned to subtrees containing a selected vertex.
-// n bounds the vertex ID space.
-func selectedPathsFrom(root VertexID, n int, edges func(VertexID) []Edge, selected func(VertexID) bool, max int) []string {
-	// Topological order of the reachable subgraph (root first), so hasSel
-	// can be computed bottom-up even when dead IDs exist in [0, n).
-	indeg := make([]int32, n)
-	seen := make(Bitset, bitsetWords(n))
-	stack := []VertexID{root}
-	seen.Set(root)
-	reachable := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range edges(v) {
-			indeg[e.Child]++
-			if !seen.Get(e.Child) {
-				seen.Set(e.Child)
-				reachable++
-				stack = append(stack, e.Child)
-			}
-		}
+// ResultView.Paths: it walks the graph below root through the given edge
+// accessor, in document order, and appends to out (empty; its capacity
+// is a size hint) the addresses of the first limit selected nodes. n
+// bounds the vertex ID space.
+func selectedPathsFrom(out []string, root VertexID, n int, edges func(VertexID) []Edge, selected func(VertexID) bool, limit int) []string {
+	w := bitsetWords(n)
+	memo := make(Bitset, 2*w)
+	pw := pathWalker{
+		edges:    edges,
+		selected: selected,
+		known:    memo[:w],
+		yes:      memo[w:],
+		limit:    limit,
+		out:      out,
 	}
-	order := make([]VertexID, 0, reachable)
-	order = append(order, root)
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		for _, e := range edges(v) {
-			indeg[e.Child]--
-			if indeg[e.Child] == 0 {
-				order = append(order, e.Child)
-			}
-		}
-	}
+	pw.walk(root)
+	return pw.out
+}
 
-	// hasSel[v]: some vertex in v's subtree (including v) is selected.
-	hasSel := make(Bitset, bitsetWords(n))
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if selected(v) {
-			hasSel.Set(v)
+// pathWalker is the state of one selectedPathsFrom traversal.
+type pathWalker struct {
+	edges    func(VertexID) []Edge
+	selected func(VertexID) bool
+
+	// known/yes memoise "the subtree holds a selected vertex": a vertex
+	// is decided once known is set, and holds one iff yes is set too.
+	known, yes Bitset
+	stack      []holdsFrame
+
+	limit int
+	addr  []byte // the current address, "2.1.3"
+	out   []string
+}
+
+// holdsFrame is a vertex on holds' explicit stack: its edges and the
+// index of the next child to test.
+type holdsFrame struct {
+	v     VertexID
+	edges []Edge
+	next  int
+}
+
+// walk emits the addresses below v (whose address is pw.addr) in
+// document order and reports false once limit addresses are out. The
+// recursion is as deep as the tree.
+func (pw *pathWalker) walk(v VertexID) bool {
+	if pw.selected(v) {
+		pw.out = append(pw.out, string(pw.addr))
+		if len(pw.out) >= pw.limit {
+			return false
+		}
+	}
+	pos := 1
+	for _, e := range pw.edges(v) {
+		if !pw.holds(e.Child) {
+			pos += int(e.Count)
 			continue
 		}
-		for _, e := range edges(v) {
-			if hasSel.Get(e.Child) {
-				hasSel.Set(v)
-				break
+		for i := uint32(0); i < e.Count; i++ {
+			mark := len(pw.addr)
+			if mark > 0 {
+				pw.addr = append(pw.addr, '.')
 			}
-		}
-	}
-
-	var out []string
-	var prefix []string
-	var walk func(v VertexID) bool // returns false when max reached
-	walk = func(v VertexID) bool {
-		if selected(v) {
-			out = append(out, strings.Join(prefix, "."))
-			if len(out) >= max {
+			pw.addr = strconv.AppendInt(pw.addr, int64(pos), 10)
+			ok := pw.walk(e.Child)
+			pw.addr = pw.addr[:mark]
+			if !ok {
 				return false
 			}
+			pos++
 		}
-		pos := 1
-		for _, e := range edges(v) {
-			if !hasSel.Get(e.Child) {
-				pos += int(e.Count)
-				continue
-			}
-			for i := uint32(0); i < e.Count; i++ {
-				prefix = append(prefix, strconv.Itoa(pos))
-				ok := walk(e.Child)
-				prefix = prefix[:len(prefix)-1]
-				if !ok {
+	}
+	return true
+}
+
+// holds reports whether v's subtree (v included) holds a selected vertex.
+// It searches depth first with an explicit stack, stopping at the first
+// selected vertex it meets: every vertex on the stack then is an ancestor
+// of it and holds one too. A vertex whose children all hold none is
+// settled as holding none; children the search did not reach stay
+// undecided until a later call needs them.
+func (pw *pathWalker) holds(v VertexID) bool {
+	if pw.known.Get(v) {
+		return pw.yes.Get(v)
+	}
+	pw.stack = pw.stack[:0]
+	for u := v; ; {
+		// Enter u, which is undecided.
+		if pw.selected(u) {
+			pw.settleYes(u)
+			return true
+		}
+		pw.stack = append(pw.stack, holdsFrame{v: u, edges: pw.edges(u)})
+		// Move to the next undecided child below the top of the stack,
+		// settling exhausted frames as holding none.
+		for u = NilVertex; u == NilVertex; {
+			top := &pw.stack[len(pw.stack)-1]
+			if top.next == len(top.edges) {
+				pw.known.Set(top.v)
+				pw.stack = pw.stack[:len(pw.stack)-1]
+				if len(pw.stack) == 0 {
 					return false
 				}
-				pos++
+				continue
+			}
+			c := top.edges[top.next].Child
+			top.next++
+			switch {
+			case !pw.known.Get(c):
+				u = c
+			case pw.yes.Get(c):
+				pw.settleYes(c)
+				return true
 			}
 		}
-		return true
 	}
-	walk(root)
-	return out
+}
+
+// settleYes records that u and every vertex on the stack hold a selected
+// vertex, and empties the stack.
+func (pw *pathWalker) settleYes(u VertexID) {
+	pw.known.Set(u)
+	pw.yes.Set(u)
+	for _, fr := range pw.stack {
+		pw.known.Set(fr.v)
+		pw.yes.Set(fr.v)
+	}
+	pw.stack = pw.stack[:0]
 }

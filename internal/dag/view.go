@@ -20,11 +20,11 @@ const ResultLabelName = "$result"
 //
 // A ResultView is immutable and safe for concurrent use.
 type ResultView struct {
-	f         *Frozen
-	root      VertexID
-	ext       []Vertex   // extension vertices; Labels nil, read via origin
-	extOrigin []VertexID // base origin of each extension vertex
-	sel       []VertexID // selected vertex IDs, ascending
+	f     *Frozen
+	root  VertexID
+	ext   []extVertex // extension vertices; labels read via origin
+	sel   []VertexID  // selected vertex IDs, ascending
+	count uint64      // tree nodes the selection represents
 }
 
 // SelectedDAG returns the number of selected graph vertices.
@@ -39,7 +39,7 @@ func (v *ResultView) edges(id VertexID) []Edge {
 	if int(id) < nb {
 		return v.f.inst.Verts[id].Edges
 	}
-	return v.ext[int(id)-nb].Edges
+	return v.ext[int(id)-nb].edges
 }
 
 // labels returns the base label set of id, through the origin for
@@ -49,7 +49,7 @@ func (v *ResultView) labels(id VertexID) label.Set {
 	if int(id) < nb {
 		return v.f.inst.Verts[id].Labels
 	}
-	return v.f.inst.Verts[v.extOrigin[int(id)-nb]].Labels
+	return v.f.inst.Verts[v.ext[int(id)-nb].origin].Labels
 }
 
 // selBits builds a bitset of the selection over the view's ID space.
@@ -63,13 +63,24 @@ func (v *ResultView) selBits() Bitset {
 
 // Paths enumerates the tree addresses of up to max selected nodes in
 // document order, straight off the view — the base is not cloned and no
-// instance is materialized.
-func (v *ResultView) Paths(max int) []string {
+// instance is materialized. The walk ends after max addresses or at the
+// last selected node, whichever comes first: its cost follows the
+// addresses returned and the subgraphs it tests on the way to them, not
+// the document.
+func (v *ResultView) Paths(max int) []string { return v.paths(max, v.edges) }
+
+// paths is Paths over the given edge accessor (tests count its calls).
+func (v *ResultView) paths(max int, edges func(VertexID) []Edge) []string {
 	if len(v.sel) == 0 || max <= 0 || v.root == NilVertex {
 		return nil
 	}
+	// The walk emits exactly min(max, count) addresses.
+	limit := max
+	if v.count < uint64(max) {
+		limit = int(v.count)
+	}
 	sel := v.selBits()
-	return selectedPathsFrom(v.root, len(v.f.inst.Verts)+len(v.ext), v.edges, sel.Get, max)
+	return selectedPathsFrom(make([]string, 0, limit), v.root, len(v.f.inst.Verts)+len(v.ext), edges, sel.Get, limit)
 }
 
 // Materialize builds a standalone Instance carrying the result: the live

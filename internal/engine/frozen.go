@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/dag"
@@ -39,7 +40,7 @@ func RunFrozen(f *dag.Frozen, prog *xpath.Program) (*Result, error) {
 	res.VertsAfter, res.EdgesAfter = ov.LiveCounts()
 	res.SelectedDAG = ov.CountCol(prog.Result)
 	res.SelectedTree = ov.SelectedTree(prog.Result)
-	res.View = ov.Detach(prog.Result)
+	res.View = ov.Detach(prog.Result, res.SelectedTree)
 	res.Label = label.Invalid
 	return res, nil
 }
@@ -76,7 +77,7 @@ func runOverlay(ov *dag.Overlay, prog *xpath.Program) error {
 	scratchA, scratchB := prog.NumTemp, prog.NumTemp+1
 	ov.EnsureCols(prog.NumTemp + 2)
 
-	for _, in := range prog.Instrs {
+	for i, in := range prog.Instrs {
 		switch in.Op {
 		case xpath.OpLabel:
 			algebra.OvLabel(ov, in.Name, in.Dst)
@@ -99,6 +100,23 @@ func runOverlay(ov *dag.Overlay, prog *xpath.Program) error {
 		default:
 			return fmt.Errorf("engine: unknown op %d", in.Op)
 		}
+		// Retire operands nothing reads any more, so later rewrites
+		// extend only the columns still needed.
+		for _, r := range in.Operands() {
+			if r != in.Dst && r != prog.Result && !readLater(prog.Instrs[i+1:], r) {
+				ov.Retire(r)
+			}
+		}
 	}
 	return nil
+}
+
+// readLater reports whether any of instrs reads register r.
+func readLater(instrs []xpath.Instr, r int) bool {
+	for _, in := range instrs {
+		if slices.Contains(in.Operands(), r) {
+			return true
+		}
+	}
+	return false
 }

@@ -55,6 +55,14 @@ func compareOverlayBaseline(t *testing.T, doc []byte, inst *dag.Instance, prog *
 	if got := res.View.Paths(maxPaths); !slices.Equal(got, wantPaths) {
 		t.Fatalf("%s: paths diverge:\noverlay:  %v\nbaseline: %v", ctx, got, wantPaths)
 	}
+	// Truncated address lists are prefixes: the walk's early stop (at max
+	// or at the last selected node) loses and reorders nothing.
+	n := len(wantPaths)
+	for _, k := range []int{1, n / 2, n, n + 1} {
+		if got, want := res.View.Paths(k), wantPaths[:min(k, n)]; !slices.Equal(got, want) {
+			t.Fatalf("%s: Paths(%d) diverge:\noverlay:  %v\nbaseline: %v", ctx, k, got, want)
+		}
+	}
 	if res.VertsBefore != inst.NumVertices() || res.EdgesBefore != inst.NumEdges() {
 		t.Fatalf("%s: before-sizes %d/%d, instance has %d/%d",
 			ctx, res.VertsBefore, res.EdgesBefore, inst.NumVertices(), inst.NumEdges())
