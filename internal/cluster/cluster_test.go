@@ -213,10 +213,11 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestClusterGoldenEqualsSingleNode is the acceptance gate: a 3-node
-// RF=2 cluster answers every corpus query byte-identically (modulo
-// timing fields) to a single node holding the whole catalog — first
-// with every node up, then with one replica killed outright.
+// TestClusterGoldenEqualsSingleNode is the acceptance gate: a cluster
+// answers every corpus query byte-identically (modulo timing fields) to
+// a single node holding the whole catalog, at every (nodes, RF) cell of
+// {2, 3} x {1, 2}. At RF=2 one replica is then killed outright and the
+// answers must not change.
 func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 	docs := smallCorpora(t)
 
@@ -235,8 +236,6 @@ func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 	refSrv := httptest.NewServer(store.NewHandler(refSt, store.ServerOptions{}))
 	defer refSrv.Close()
 
-	nodes := startCluster(t, 3, 2, docs)
-
 	var queries []string
 	for _, c := range corpus.Catalog() {
 		for _, q := range c.Queries {
@@ -244,43 +243,56 @@ func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 		}
 	}
 
-	runAll := func(tag string) (pruned, direct int) {
-		t.Helper()
-		for _, q := range queries {
-			want := fetchFanout(t, refSrv.URL, q)
-			got := fetchFanout(t, nodes[0].url, q)
-			if len(got.Failed) != 0 {
-				t.Errorf("%s: query %q degraded: %+v", tag, q, got.Failed)
-			}
-			normalizeFanout(want)
-			normalizeFanout(got)
-			wb, gb := mustJSON(t, want), mustJSON(t, got)
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("%s: query %q diverged\n single: %s\ncluster: %s", tag, q, wb, gb)
-			}
-			pruned += got.Pruned
-			direct += got.Direct
-		}
-		return pruned, direct
-	}
+	for _, cell := range []struct{ nodes, rf int }{{2, 1}, {2, 2}, {3, 1}, {3, 2}} {
+		t.Run(fmt.Sprintf("nodes=%d/rf=%d", cell.nodes, cell.rf), func(t *testing.T) {
+			nodes := startCluster(t, cell.nodes, cell.rf, docs)
 
-	pruned, direct := runAll("full cluster")
-	if pruned == 0 {
-		t.Errorf("no document was synopsis-pruned across %d clustered queries", len(queries))
-	}
-	t.Logf("full cluster: %d pruned, %d direct across %d queries", pruned, direct, len(queries))
+			runAll := func(tag string) (pruned, direct int) {
+				t.Helper()
+				for _, q := range queries {
+					want := fetchFanout(t, refSrv.URL, q)
+					got := fetchFanout(t, nodes[0].url, q)
+					if len(got.Failed) != 0 {
+						t.Errorf("%s: query %q degraded: %+v", tag, q, got.Failed)
+					}
+					normalizeFanout(want)
+					normalizeFanout(got)
+					wb, gb := mustJSON(t, want), mustJSON(t, got)
+					if !bytes.Equal(wb, gb) {
+						t.Errorf("%s: query %q diverged\n single: %s\ncluster: %s", tag, q, wb, gb)
+					}
+					pruned += got.Pruned
+					direct += got.Direct
+				}
+				return pruned, direct
+			}
 
-	// Kill one replica outright — no graceful shutdown — and wait for
-	// the survivors to notice. RF=2 means every document still has a
-	// live owner, so the answers must not change.
-	victim := nodes[2]
-	victim.srv.CloseClientConnections()
-	victim.srv.Close()
-	waitFor(t, "victim marked down", func() bool {
-		return !nodes[0].node.Membership().Up(victim.url) &&
-			!nodes[1].node.Membership().Up(victim.url)
-	})
-	runAll("one replica down")
+			pruned, direct := runAll("full cluster")
+			if pruned == 0 {
+				t.Errorf("no document was synopsis-pruned across %d clustered queries", len(queries))
+			}
+			t.Logf("full cluster: %d pruned, %d direct across %d queries", pruned, direct, len(queries))
+			if cell.rf < 2 {
+				return
+			}
+
+			// Kill one replica outright — no graceful shutdown — and wait
+			// for the survivors to notice. RF=2 means every document still
+			// has a live owner, so the answers must not change.
+			victim := nodes[len(nodes)-1]
+			victim.srv.CloseClientConnections()
+			victim.srv.Close()
+			waitFor(t, "victim marked down", func() bool {
+				for _, tn := range nodes[:len(nodes)-1] {
+					if tn.node.Membership().Up(victim.url) {
+						return false
+					}
+				}
+				return true
+			})
+			runAll("one replica down")
+		})
+	}
 }
 
 // TestReplicationShipsPublishedDocs pins the ingest→replica pipeline: a

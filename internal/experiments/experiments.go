@@ -147,7 +147,7 @@ type GrowthPoint struct {
 
 // DecompressionGrowth runs two query families against the compressed
 // complete binary tree of the given depth (which has depth+1 vertices but
-// 2^depth - 1 tree nodes):
+// 2^depth tree nodes: 2^depth - 1 elements plus the document root):
 //
 //   - benign: /*/*/.../* — plain downward chains. Every tree node at a
 //     level shares one vertex and all its copies need identical
@@ -207,8 +207,9 @@ func growthPoint(doc []byte, k int, query string) (GrowthPoint, error) {
 	}, nil
 }
 
-// uniformBinaryDoc renders a complete binary tree of uniform tag; its
-// skeleton compresses to a chain of `depth` vertices.
+// uniformBinaryDoc renders a complete binary tree of uniform tag with
+// `depth` element levels; its skeleton compresses to a chain of depth+1
+// vertices (one per level plus the document root).
 func uniformBinaryDoc(depth int) []byte {
 	var sb strings.Builder
 	var emit func(level int)

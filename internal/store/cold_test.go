@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -117,6 +118,57 @@ func TestBundledGoldenEquality(t *testing.T) {
 		loose.Close()
 		bundled.Close()
 	}
+}
+
+// TestBundledCatalogCollapses is the cold tier's reason to exist, at a
+// catalog size where it matters: 1,000 small documents packed into
+// bundles leave a handful of files instead of 2,000 (archive + sidecar
+// each), answer a broad and a rare query exactly like the loose tier,
+// and the rare query prunes the same documents over bundles as over
+// loose files.
+func TestBundledCatalogCollapses(t *testing.T) {
+	const n, rareDocs = 1000, 16
+	docs := make(map[string][]byte, n)
+	for i := 0; i < n; i++ {
+		rare := ""
+		if i < rareDocs {
+			rare = fmt.Sprintf("<rare>r%d</rare>", i)
+		}
+		docs[fmt.Sprintf("doc%06d", i)] = []byte(fmt.Sprintf(
+			"<entry><id>n%d</id><val>v%d</val><val>w%d</val>%s</entry>", i, i%97, i%89, rare))
+	}
+	looseDir, bundledDir := packDir(t, docs), packedDir(t, docs)
+
+	des, err := os.ReadDir(bundledDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := n/100 + 2; len(des) > max {
+		t.Fatalf("bundled catalog of %d docs holds %d files, want <= %d", n, len(des), max)
+	}
+
+	loose, err := store.Open(looseDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loose.Close()
+	bundled, err := store.Open(bundledDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bundled.Close()
+	if st := bundled.Stats(); st.BundledDocs != n {
+		t.Fatalf("bundled store serves %d bundled docs, want %d: %+v", st.BundledDocs, n, st)
+	}
+
+	assertStoresAgree(t, loose, bundled, `//entry[id]`, "broad")
+	lb, bb := loose.Stats().PrunePruned, bundled.Stats().PrunePruned
+	assertStoresAgree(t, loose, bundled, `//entry[rare]`, "rare")
+	lp, bp := loose.Stats().PrunePruned-lb, bundled.Stats().PrunePruned-bb
+	if lp != bp || lp < n-rareDocs {
+		t.Fatalf("rare query pruned %d docs loose, %d bundled; want equal and >= %d", lp, bp, n-rareDocs)
+	}
+	t.Logf("%d docs: %d files bundled, rare query pruned %d = %d", n, len(des), lp, bp)
 }
 
 // TestBundledSurvivesTornIndex simulates the crash the needle index

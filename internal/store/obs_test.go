@@ -188,9 +188,21 @@ func TestQueryTraceParam(t *testing.T) {
 		t.Errorf("stage sum %d exceeds total %d", total, tr.TotalNanos)
 	}
 
+	var before, after store.StatsResponse
+	if status := getJSON(t, srv.URL+"/stats", &before); status != http.StatusOK {
+		t.Fatalf("stats status %d", status)
+	}
 	var fr store.FanoutResponse
 	if status := getJSON(t, srv.URL+"/query?trace=1&q="+q, &fr); status != http.StatusOK {
 		t.Fatalf("fanout traced status %d", status)
+	}
+	if status := getJSON(t, srv.URL+"/stats", &after); status != http.StatusOK {
+		t.Fatalf("stats status %d", status)
+	}
+	// The registry's considered counter (behind /stats and /metrics)
+	// sees each (fan-out, document) pair exactly once.
+	if got := after.PruneConsidered - before.PruneConsidered; got != uint64(len(docs)) {
+		t.Errorf("prune_considered advanced %d over one fan-out of %d docs", got, len(docs))
 	}
 	if fr.Trace == nil {
 		t.Fatal("fan-out trace=1 returned no trace")

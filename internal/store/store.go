@@ -106,7 +106,7 @@ type Options struct {
 	// DisableMetrics turns latency-histogram recording and per-query
 	// trace timing off. Counters stay live — /stats predates the metrics
 	// registry and depends on them. For benchmarking the uninstrumented
-	// path (xcbench -obsbench measures the difference).
+	// path (xcserve -no-metrics).
 	DisableMetrics bool
 	// SlowQueryThreshold retains queries at least this slow in the
 	// slow-query ring served at GET /debug/slow. <= 0 disables the ring.

@@ -82,31 +82,46 @@ func TestOpenCatalog(t *testing.T) {
 // corpus and every experiment query, the served result (archive decode +
 // derived instances, no XML on the serve path) must agree
 // with core.Document.Query on the original XML — same selected tree
-// count, same addresses.
+// count, same addresses. A second pass repeats the sweep on a store
+// whose one-byte cache budget evicts on every load, so answers served
+// from freshly re-decoded documents are held to the same goldens.
 func TestGoldenVsDocument(t *testing.T) {
 	docs := smallCorpora(t)
-	s, err := store.Open(packDir(t, docs), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range corpus.Catalog() {
-		for qi, q := range c.Queries {
-			want, err := core.Load(docs[c.Name]).Query(q)
-			if err != nil {
-				t.Fatalf("%s Q%d direct: %v", c.Name, qi+1, err)
-			}
-			got, err := s.Query(c.Name, q)
-			if err != nil {
-				t.Fatalf("%s Q%d served: %v", c.Name, qi+1, err)
-			}
-			if got.SelectedTree != want.SelectedTree {
-				t.Errorf("%s Q%d: served %d nodes, direct %d", c.Name, qi+1, got.SelectedTree, want.SelectedTree)
-			}
-			const maxPaths = 1 << 20
-			if g, w := got.Paths(maxPaths), want.Paths(maxPaths); !reflect.DeepEqual(g, w) {
-				t.Errorf("%s Q%d: served paths %v, direct %v", c.Name, qi+1, g, w)
+	dir := packDir(t, docs)
+	for _, tc := range []struct {
+		stage string
+		opts  store.Options
+	}{
+		{"cached", store.Options{}},
+		{"evicting", store.Options{CacheBytes: 1}},
+	} {
+		s, err := store.Open(dir, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range corpus.Catalog() {
+			for qi, q := range c.Queries {
+				want, err := core.Load(docs[c.Name]).Query(q)
+				if err != nil {
+					t.Fatalf("%s Q%d direct: %v", c.Name, qi+1, err)
+				}
+				got, err := s.Query(c.Name, q)
+				if err != nil {
+					t.Fatalf("%s: %s Q%d served: %v", tc.stage, c.Name, qi+1, err)
+				}
+				if got.SelectedTree != want.SelectedTree {
+					t.Errorf("%s: %s Q%d: served %d nodes, direct %d", tc.stage, c.Name, qi+1, got.SelectedTree, want.SelectedTree)
+				}
+				const maxPaths = 1 << 20
+				if g, w := got.Paths(maxPaths), want.Paths(maxPaths); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s: %s Q%d: served paths %v, direct %v", tc.stage, c.Name, qi+1, g, w)
+				}
 			}
 		}
+		if st := s.Stats(); tc.opts.CacheBytes > 0 && st.Evictions == 0 {
+			t.Errorf("%s: no evictions under a %d-byte budget: %+v", tc.stage, tc.opts.CacheBytes, st)
+		}
+		s.Close()
 	}
 }
 
