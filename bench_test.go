@@ -14,6 +14,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -546,7 +547,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	for qi, q := range c.Queries {
-		if _, err := s.QueryAll(q); err != nil { // warm caches
+		if _, err := s.QueryAllCtx(context.Background(), q); err != nil { // warm caches
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("Q%d/reparse", qi+1), func(b *testing.B) {
@@ -560,7 +561,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("Q%d/store", qi+1), func(b *testing.B) {
 			b.SetBytes(totalBytes)
 			for i := 0; i < b.N; i++ {
-				if _, err := s.QueryAll(q); err != nil {
+				if _, err := s.QueryAllCtx(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

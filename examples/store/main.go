@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -77,18 +78,14 @@ func run() error {
 		`//PLAYER[THROWS["Right"]]`,                    // string condition: distil from containers + merge
 		`//TEAM[TEAM_CITY["Atlanta"]]/PLAYER/POSITION`, // both
 	} {
-		results, err := s.QueryAll(q)
+		resp, err := s.Do(context.Background(), store.Request{Query: q})
 		if err != nil {
 			return err
 		}
-		var total uint64
-		for _, r := range results {
-			if r.Err != nil {
-				return r.Err
-			}
-			total += r.Result.SelectedTree
+		if f := resp.Fanout.Failed; len(f) > 0 {
+			return fmt.Errorf("%s: %s", f[0].Doc, f[0].Error)
 		}
-		fmt.Printf("%-46s -> %5d node(s) across %d docs\n", q, total, len(results))
+		fmt.Printf("%-46s -> %5d node(s) across %d docs\n", q, resp.Fanout.TotalMatches, len(resp.Fanout.Docs))
 	}
 
 	st := s.Stats()

@@ -592,3 +592,106 @@ func TestSingleDocForwarding(t *testing.T) {
 		t.Fatalf("forwarded answer from owner %s = doc %q matches %d, want %q with matches", owner, qr.Doc, qr.Matches, name)
 	}
 }
+
+// TestPeerQueryIgnoresShippedSignature pins that a peer answers the
+// query text it is sent, whatever else the body carries: a signature
+// field that belongs to another query (here one naming an element no
+// document holds) must not prune the peer's catalog. The peer compiles
+// the text itself and prunes from that program's own signature.
+func TestPeerQueryIgnoresShippedSignature(t *testing.T) {
+	nodes := startCluster(t, 2, 2, smallCorpora(t)) // RF=2: both nodes hold every document
+	c, err := corpus.ByName("DBLP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := json.Marshal(c.Queries[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) store.FanoutResponse {
+		t.Helper()
+		resp, err := http.Post(nodes[1].url+"/cluster/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /cluster/query %s: %s: %s", body, resp.Status, bytes.TrimSpace(raw))
+		}
+		var fr store.FanoutResponse
+		if err := json.Unmarshal(raw, &fr); err != nil {
+			t.Fatalf("decoding peer answer: %v", err)
+		}
+		return fr
+	}
+	plain := post(fmt.Sprintf(`{"query":%s,"max":100}`, q))
+	if plain.TotalMatches == 0 {
+		t.Fatalf("DBLP Q3 matched nothing on the peer — the test is vacuous")
+	}
+	signed := post(fmt.Sprintf(`{"query":%s,"max":100,"sig":{"required":[["tag:no-such-element"]]}}`, q))
+	if signed.TotalMatches != plain.TotalMatches || signed.Pruned != plain.Pruned {
+		t.Fatalf("a foreign signature changed the peer's answer: total_matches %d (pruned %d), want %d (pruned %d)",
+			signed.TotalMatches, signed.Pruned, plain.TotalMatches, plain.Pruned)
+	}
+}
+
+// TestClusteredMaxZeroRunsNoFallback pins that a peer honours the
+// router's paths budget as sent: a clustered fan-out at max=0 renders no
+// addresses anywhere, so no node evaluates a count-shaped direct answer
+// for real — exactly like a single node, which does 0 fallbacks here. A
+// negative budget is a 400, never a silent default.
+func TestClusteredMaxZeroRunsNoFallback(t *testing.T) {
+	docs := smallCorpora(t)
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rf=%d", rf), func(t *testing.T) {
+			nodes := startCluster(t, 2, rf, docs)
+			before := make([]uint64, len(nodes))
+			for i, tn := range nodes {
+				before[i] = tn.st.Stats().PlanFallback
+			}
+			direct := 0
+			for _, name := range []string{"SwissProt", "DBLP", "Shakespeare", "Baseball"} {
+				c, err := corpus.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Get(nodes[0].url + "/query?max=0&q=" + url.QueryEscape(c.Queries[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s Q2: %s: %s", name, resp.Status, bytes.TrimSpace(raw))
+				}
+				var fr store.FanoutResponse
+				if err := json.Unmarshal(raw, &fr); err != nil {
+					t.Fatal(err)
+				}
+				if fr.TotalMatches == 0 || len(fr.Failed) != 0 {
+					t.Fatalf("%s Q2: total_matches %d, failed %v", name, fr.TotalMatches, fr.Failed)
+				}
+				direct += fr.Direct
+			}
+			if direct == 0 {
+				t.Fatalf("no document was answered direct — the test is vacuous")
+			}
+			for i, tn := range nodes {
+				if d := tn.st.Stats().PlanFallback - before[i]; d != 0 {
+					t.Errorf("node %d ran %d planner fallback(s) for max=0 scatters, want 0", i, d)
+				}
+			}
+
+			resp, err := http.Post(nodes[1].url+"/cluster/query", "application/json",
+				strings.NewReader(`{"query":"//a","max":-1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("peer query with max -1: status %d, want 400", resp.StatusCode)
+			}
+		})
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/xpath"
 )
 
 // forwardHeader is the loop guard on single-document forwards: a
@@ -24,7 +23,7 @@ const forwardHeader = "X-Cluster-Forwarded"
 //	GET  /query?q=...            clustered scatter-gather fan-out
 //	GET  /query?doc=NAME&q=...   answered locally, or forwarded once to
 //	                             a live owner of the document
-//	POST /cluster/query          peer scatter endpoint (signature-first)
+//	POST /cluster/query          peer scatter endpoint
 //	GET  /cluster/docs           this node's catalog names
 //	PUT  /cluster/replicate      land a replica payload (CRC-verified)
 //	DELETE /cluster/replicate    erase a replicated document
@@ -75,14 +74,14 @@ func (h *clusterHandler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeClusterError(w, http.StatusBadRequest, errors.New("missing q parameter"))
+		store.WriteError(w, http.StatusBadRequest, errors.New("missing q parameter"))
 		return
 	}
 	max := h.maxPaths
 	if m := r.URL.Query().Get("max"); m != "" {
 		v, err := strconv.Atoi(m)
 		if err != nil || v < 0 {
-			writeClusterError(w, http.StatusBadRequest, fmt.Errorf("bad max parameter %q", m))
+			store.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad max parameter %q", m))
 			return
 		}
 		if v < max {
@@ -95,10 +94,10 @@ func (h *clusterHandler) query(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		writeClusterError(w, status, err)
+		store.WriteError(w, status, err)
 		return
 	}
-	writeClusterJSON(w, http.StatusOK, resp)
+	store.WriteJSON(w, http.StatusOK, resp)
 }
 
 // singleDoc answers a one-document query: locally when the catalog has
@@ -137,15 +136,14 @@ func (h *clusterHandler) singleDoc(w http.ResponseWriter, r *http.Request, doc s
 	h.inner.ServeHTTP(w, r)
 }
 
-// peerQuery is the scatter endpoint peers call: the query signature is
-// checked against the local synopsis index *first*, and when it alone
-// proves every catalogued document empty the node answers without
-// compiling the query — the signature-first fast path. Admission and
+// peerQuery is the scatter endpoint peers call: the node answers its
+// whole catalog through store.Do with a per-document budget of the Max
+// sent (0 renders no addresses; a negative Max is a 400). Admission and
 // timeout mirror the single-node /query contract, so the router's
 // degradation logic sees the same 429/504 surface.
 func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		store.WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	if h.sem != nil {
@@ -154,46 +152,19 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 			defer func() { <-h.sem }()
 		default:
 			w.Header().Set("Retry-After", "1")
-			writeClusterError(w, http.StatusTooManyRequests,
+			store.WriteError(w, http.StatusTooManyRequests,
 				fmt.Errorf("node at max concurrent scatter queries (%d)", h.n.cfg.MaxConcurrentQueries))
 			return
 		}
 	}
 	var pq PeerQuery
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&pq); err != nil {
-		writeClusterError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %v", err))
+		store.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %v", err))
 		return
 	}
 	if pq.Query == "" {
-		writeClusterError(w, http.StatusBadRequest, errors.New("missing query"))
+		store.WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
-	}
-	if pq.Max <= 0 {
-		pq.Max = h.maxPaths
-	}
-
-	if sig := xpath.SigFromWire(pq.Sig); sig.Prunable() {
-		names, prunable := h.n.st.SignaturePrune(sig)
-		all := prunable != nil
-		for _, p := range prunable {
-			if !p {
-				all = false
-				break
-			}
-		}
-		if all {
-			resp := &store.FanoutResponse{Query: pq.Query, Docs: make([]store.QueryResponse, 0, len(names))}
-			for _, name := range names {
-				resp.Docs = append(resp.Docs, store.QueryResponse{
-					Doc: name, Query: pq.Query, Paths: []string{}, Pruned: true,
-				})
-				resp.Pruned++
-				h.n.m.sigPruned.Inc()
-			}
-			resp.Workers = h.n.st.Workers()
-			writeClusterJSON(w, http.StatusOK, resp)
-			return
-		}
 	}
 
 	ctx := r.Context()
@@ -202,16 +173,16 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, h.n.cfg.QueryTimeout)
 		defer cancel()
 	}
-	resp, err := h.n.st.FanoutLocal(ctx, pq.Query, pq.Max)
+	resp, err := h.n.st.Do(ctx, store.Request{Query: pq.Query, Max: pq.Max, PerDoc: true})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		writeClusterError(w, status, err)
+		store.WriteError(w, status, err)
 		return
 	}
-	writeClusterJSON(w, http.StatusOK, resp)
+	store.WriteJSON(w, http.StatusOK, resp.Fanout)
 }
 
 // DocsList is the GET /cluster/docs body: the node's catalog names.
@@ -221,58 +192,58 @@ type DocsList struct {
 
 func (h *clusterHandler) docs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		store.WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	names := h.n.st.Names()
 	if names == nil {
 		names = []string{}
 	}
-	writeClusterJSON(w, http.StatusOK, DocsList{Names: names})
+	store.WriteJSON(w, http.StatusOK, DocsList{Names: names})
 }
 
 // replicate lands (PUT) or erases (DELETE) a replica shipped by a peer.
 func (h *clusterHandler) replicate(w http.ResponseWriter, r *http.Request) {
 	doc := r.URL.Query().Get("doc")
 	if doc == "" {
-		writeClusterError(w, http.StatusBadRequest, errors.New("missing doc parameter"))
+		store.WriteError(w, http.StatusBadRequest, errors.New("missing doc parameter"))
 		return
 	}
 	if err := store.ValidateDocName(doc); err != nil {
-		writeClusterError(w, http.StatusBadRequest, err)
+		store.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	switch r.Method {
 	case http.MethodPut:
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
 		if err != nil {
-			writeClusterError(w, http.StatusBadRequest, fmt.Errorf("reading payload: %v", err))
+			store.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading payload: %v", err))
 			return
 		}
 		archive, sidecar, err := parseReplicaFrame(body, r.Header.Get(crcHeader))
 		if err != nil {
-			writeClusterError(w, http.StatusBadRequest, err)
+			store.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := h.n.st.AcceptReplica(doc, archive, sidecar); err != nil {
-			writeClusterError(w, http.StatusInternalServerError, err)
+			store.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		h.n.m.replReceived.Inc()
-		writeClusterJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "replicated"})
+		store.WriteJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "replicated"})
 	case http.MethodDelete:
 		if !h.n.st.Has(doc) {
 			// Idempotent: the replica never landed or is already gone.
-			writeClusterJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "absent"})
+			store.WriteJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "absent"})
 			return
 		}
 		if err := h.n.st.Erase(doc); err != nil {
-			writeClusterError(w, http.StatusInternalServerError, err)
+			store.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeClusterJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "erased"})
+		store.WriteJSON(w, http.StatusOK, map[string]string{"doc": doc, "status": "erased"})
 	default:
-		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("PUT or DELETE only"))
+		store.WriteError(w, http.StatusMethodNotAllowed, errors.New("PUT or DELETE only"))
 	}
 }
 
@@ -280,27 +251,27 @@ func (h *clusterHandler) replicate(w http.ResponseWriter, r *http.Request) {
 func (h *clusterHandler) ring(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeClusterJSON(w, http.StatusOK, h.n.Ring().Desc())
+		store.WriteJSON(w, http.StatusOK, h.n.Ring().Desc())
 	case http.MethodPost:
 		var d Desc
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&d); err != nil {
-			writeClusterError(w, http.StatusBadRequest, fmt.Errorf("decoding ring: %v", err))
+			store.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding ring: %v", err))
 			return
 		}
 		adopted, err := h.n.AdoptDesc(d)
 		if err != nil {
-			writeClusterError(w, http.StatusBadRequest, err)
+			store.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		status := "kept"
 		if adopted {
 			status = "adopted"
 		}
-		writeClusterJSON(w, http.StatusOK, map[string]any{
+		store.WriteJSON(w, http.StatusOK, map[string]any{
 			"status": status, "ring": h.n.Ring().Desc(),
 		})
 	default:
-		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("GET or POST only"))
+		store.WriteError(w, http.StatusMethodNotAllowed, errors.New("GET or POST only"))
 	}
 }
 
@@ -316,14 +287,14 @@ type PeersResponse struct {
 
 func (h *clusterHandler) peers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		store.WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	interval := h.n.cfg.ProbeInterval
 	if interval <= 0 {
 		interval = DefaultProbeInterval
 	}
-	writeClusterJSON(w, http.StatusOK, PeersResponse{
+	store.WriteJSON(w, http.StatusOK, PeersResponse{
 		Self:            h.n.cfg.Self,
 		Ring:            h.n.Ring().Desc(),
 		Peers:           h.n.mem.States(),
@@ -331,20 +302,4 @@ func (h *clusterHandler) peers(w http.ResponseWriter, r *http.Request) {
 		ReplicationRF:   h.n.cfg.ReplicationFactor,
 		ProbeIntervalMS: int64(interval / time.Millisecond),
 	})
-}
-
-func writeClusterJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeClusterError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

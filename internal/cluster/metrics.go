@@ -14,7 +14,6 @@ type clusterMetrics struct {
 	scatter *obs.Histogram // wall time per scatter-gather fan-out
 
 	scatters     *obs.Counter // scatter-gather fan-outs routed
-	sigPruned    *obs.Counter // documents pruned by a wire signature before compile
 	mergedDocs   *obs.Counter // per-document results merged into responses
 	dedupedDocs  *obs.Counter // replica duplicates discarded (first healthy owner won)
 	degradedDocs *obs.Counter // per-document error entries emitted for failed peers
@@ -37,8 +36,6 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 
 		scatters: r.Counter("xc_cluster_scatters_total",
 			"Scatter-gather cluster fan-outs routed."),
-		sigPruned: r.Counter("xc_cluster_sig_pruned_total",
-			"Documents peers pruned from the shipped query signature before compiling."),
 		mergedDocs: r.Counter("xc_cluster_merged_docs_total",
 			"Per-document results merged into cluster responses."),
 		dedupedDocs: r.Counter("xc_cluster_deduped_docs_total",

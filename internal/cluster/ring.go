@@ -13,11 +13,13 @@
 //     CRC verification and capped-backoff retries; a WAL-backed pending
 //     queue survives restarts, so no transfer is ever lost.
 //
-//   - routing (router.go): a scatter-gather QueryAll sends the compiled
-//     query *signature* with the query text to each live peer, so remote
-//     nodes prune against their local path-synopsis indexes before
-//     decoding anything — cross-node reads stay coordination-free, the
-//     same plan/prune-first discipline the single-node path uses. The
+//   - routing (router.go): a scatter-gather QueryAll sends the query
+//     text to each live peer, and every node — the router's own leg
+//     included — answers through store.Do, the call a single node's
+//     /query makes: it compiles, prunes against its local path-synopsis
+//     index and answers direct before decoding anything, so cross-node
+//     reads stay coordination-free under the same plan/prune-first
+//     discipline the single-node path uses. The
 //     router merges per-document results with replica dedup (first
 //     healthy owner wins) and degrades per peer: a shed (429), timed-out
 //     (504) or dead peer becomes that peer's per-document error entries,

@@ -14,20 +14,16 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/xpath"
 )
 
-// PeerQuery is the body of POST /cluster/query: the query text plus its
-// compiled signature, shipped ahead so the peer can prune against its
-// local path-synopsis index before compiling — when the signature alone
-// proves every local document empty, the peer answers without even
-// parsing the query. Max is the *global* paths budget; peers render
-// each document independently up to it and the router re-applies the
-// shared budget after the merge.
+// PeerQuery is the body of POST /cluster/query: the query text and the
+// *global* paths budget. The peer compiles the text itself (through its
+// program cache), prunes from that program's signature exactly as a
+// single node does, and renders each document independently up to Max;
+// the router re-applies the shared budget after the merge.
 type PeerQuery struct {
-	Query string         `json:"query"`
-	Sig   *xpath.SigWire `json:"sig,omitempty"`
-	Max   int            `json:"max"`
+	Query string `json:"query"`
+	Max   int    `json:"max"`
 }
 
 // Router fans a catalog-wide query out to every live peer and merges
@@ -59,12 +55,11 @@ type peerAnswer struct {
 }
 
 // QueryAll runs one clustered fan-out: compile locally (a bad query
-// fails fast without touching the network), scatter signature+query to
-// every live peer while this node evaluates its own catalog, merge with
+// fails fast without touching the network), scatter the query to every
+// live peer while this node evaluates its own catalog, merge with
 // replica dedup, re-apply the global paths budget in catalog order.
 func (rt *Router) QueryAll(ctx context.Context, query string, max int) (*store.FanoutResponse, error) {
-	prog, err := xpath.CompileQuery(query)
-	if err != nil {
+	if _, err := rt.st.Program(query); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -82,12 +77,15 @@ func (rt *Router) QueryAll(ctx context.Context, query string, max int) (*store.F
 		wg.Add(1)
 		go func(i int, p string) {
 			defer wg.Done()
-			answers[i+1] = rt.askPeer(ctx, p, query, prog.Sig, max)
+			answers[i+1] = rt.askPeer(ctx, p, query, max)
 		}(i, p)
 	}
-	local, lerr := rt.st.FanoutLocal(ctx, query, max)
-	answers[0] = peerAnswer{peer: rt.self, resp: local, err: lerr,
-		timedOut: errors.Is(lerr, context.DeadlineExceeded)}
+	// This node's leg runs the same request a peer's /cluster/query does.
+	local, lerr := rt.st.Do(ctx, store.Request{Query: query, Max: max, PerDoc: true})
+	answers[0] = peerAnswer{peer: rt.self, err: lerr, timedOut: errors.Is(lerr, context.DeadlineExceeded)}
+	if lerr == nil {
+		answers[0].resp = local.Fanout
+	}
 	wg.Wait()
 
 	resp := rt.merge(query, max, answers)
@@ -97,9 +95,9 @@ func (rt *Router) QueryAll(ctx context.Context, query string, max int) (*store.F
 }
 
 // askPeer sends one scatter request.
-func (rt *Router) askPeer(ctx context.Context, peer, query string, sig *xpath.Signature, max int) peerAnswer {
+func (rt *Router) askPeer(ctx context.Context, peer, query string, max int) peerAnswer {
 	ans := peerAnswer{peer: peer}
-	body, err := json.Marshal(PeerQuery{Query: query, Sig: sig.Wire(), Max: max})
+	body, err := json.Marshal(PeerQuery{Query: query, Max: max})
 	if err != nil {
 		ans.err = err
 		return ans

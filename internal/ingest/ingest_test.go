@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,7 +58,7 @@ func assertGolden(t *testing.T, s *store.Store, docs map[string][]byte, stage st
 			if err != nil {
 				t.Fatalf("%s: %s Q%d direct: %v", stage, c.Name, qi+1, err)
 			}
-			got, err := s.Query(c.Name, q)
+			got, err := s.QueryCtx(context.Background(), c.Name, q)
 			if err != nil {
 				t.Fatalf("%s: %s Q%d served: %v", stage, c.Name, qi+1, err)
 			}
@@ -145,7 +146,7 @@ func TestSealedGenerationsStayQueryable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Query(name, c.Queries[1])
+		got, err := s.QueryCtx(context.Background(), name, c.Queries[1])
 		if err != nil {
 			t.Fatalf("query %s mid-compaction: %v", name, err)
 		}
@@ -177,7 +178,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if s.Has("DBLP") {
 		t.Fatal("tombstoned document still visible")
 	}
-	if _, err := s.Query("DBLP", "//article"); err == nil {
+	if _, err := s.QueryCtx(context.Background(), "DBLP", "//article"); err == nil {
 		t.Fatal("query of tombstoned document must fail")
 	}
 	if got := s.Len(); got != 0 {
@@ -222,7 +223,7 @@ func TestReingestReplaces(t *testing.T) {
 	if err := ing.Add("d", v1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query("d", `//article[author["Codd"]]`)
+	res, err := s.QueryCtx(context.Background(), "d", `//article[author["Codd"]]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,25 +234,25 @@ func TestReingestReplaces(t *testing.T) {
 	if err := ing.Add("d", v2); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = s.Query("d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 2 {
+	if res, err = s.QueryCtx(context.Background(), "d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 2 {
 		t.Fatalf("v2 live: %v matches, err %v; want 2", res, err)
 	}
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = s.Query("d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 2 {
+	if res, err = s.QueryCtx(context.Background(), "d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 2 {
 		t.Fatalf("v2 archived: %v, err %v; want 2 matches", res, err)
 	}
 	if err := ing.Add("d", v1); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = s.Query("d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 1 {
+	if res, err = s.QueryCtx(context.Background(), "d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 1 {
 		t.Fatalf("v1 shadowing archive: %v, err %v; want 1 match", res, err)
 	}
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = s.Query("d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 1 {
+	if res, err = s.QueryCtx(context.Background(), "d", `//article[author["Codd"]]`); err != nil || res.SelectedTree != 1 {
 		t.Fatalf("v1 re-archived: %v, err %v; want 1 match", res, err)
 	}
 }
@@ -334,7 +335,7 @@ func TestConcurrentIngestWhileQuery(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				res, err := s.Query("seed", c.Queries[1])
+				res, err := s.QueryCtx(context.Background(), "seed", c.Queries[1])
 				if err != nil {
 					errCh <- err
 					return
@@ -348,7 +349,7 @@ func TestConcurrentIngestWhileQuery(t *testing.T) {
 				// the catalog snapshot and the lookup (reported per
 				// document, by design); the stable seed document must
 				// always succeed.
-				batch, err := s.QueryAll(c.Queries[1])
+				batch, err := s.QueryAllCtx(context.Background(), c.Queries[1])
 				if err != nil {
 					errCh <- err
 					return

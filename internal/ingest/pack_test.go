@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,7 +101,7 @@ func TestPackedDeleteAndReplace(t *testing.T) {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(victim, `//article`); err == nil {
+	if _, err := s.QueryCtx(context.Background(), victim, `//article`); err == nil {
 		t.Fatal("deleted bundled document still answers queries")
 	}
 	if st := s.Stats(); st.BundledDocs != len(docs)-1 {
@@ -115,7 +116,7 @@ func TestPackedDeleteAndReplace(t *testing.T) {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query("Baseball", `//SPEECH`)
+	res, err := s.QueryCtx(context.Background(), "Baseball", `//SPEECH`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPackedDeleteAndReplace(t *testing.T) {
 	if s2.Has(victim) {
 		t.Fatal("deleted document resurrected by reopen")
 	}
-	res, err = s2.Query("Baseball", `//SPEECH`)
+	res, err = s2.QueryCtx(context.Background(), "Baseball", `//SPEECH`)
 	if err != nil {
 		t.Fatal(err)
 	}

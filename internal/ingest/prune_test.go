@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,7 +30,7 @@ func TestLiveIngestPrunable(t *testing.T) {
 
 	// A Baseball-only root path: every other live document must be
 	// pruned at the catalog, and the one match must come through.
-	results, err := s.QueryAll(`/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`)
+	results, err := s.QueryAllCtx(context.Background(), `/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestLiveIngestPrunable(t *testing.T) {
 	// Full soundness sweep over every corpus query while live.
 	for _, c := range corpus.Catalog() {
 		for qi, q := range c.Queries {
-			results, err := s.QueryAll(q)
+			results, err := s.QueryAllCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", c.Name, qi+1, err)
 			}
@@ -166,7 +167,7 @@ func TestReplacementNotJudgedByStaleSynopsis(t *testing.T) {
 
 	// The new content must be reachable (the stale archive synopsis
 	// would have pruned /c/d)...
-	results, err := s.QueryAll(`/c/d`)
+	results, err := s.QueryAllCtx(context.Background(), `/c/d`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestReplacementNotJudgedByStaleSynopsis(t *testing.T) {
 	}
 	// ...and the old content must be gone (prunable by the live
 	// synopsis, but above all empty).
-	results, err = s.QueryAll(`/a/b`)
+	results, err = s.QueryAllCtx(context.Background(), `/a/b`)
 	if err != nil {
 		t.Fatal(err)
 	}

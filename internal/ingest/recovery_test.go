@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,7 +104,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if !s2.Has("a") || s2.Has("b") {
 		t.Fatalf("recovered catalog %v: want only a", s2.Names())
 	}
-	res, err := s2.Query("a", c.Queries[1])
+	res, err := s2.QueryCtx(context.Background(), "a", c.Queries[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -119,8 +120,8 @@ func TestPlannerDifferentialArchived(t *testing.T) {
 	}
 	for _, cq := range allQueries() {
 		for round := 0; round < 2; round++ {
-			pr, perr := on.QueryAll(cq.Query)
-			or, oerr := off.QueryAll(cq.Query)
+			pr, perr := on.QueryAllCtx(context.Background(), cq.Query)
+			or, oerr := off.QueryAllCtx(context.Background(), cq.Query)
 			if (perr == nil) != (oerr == nil) {
 				t.Fatalf("%s: planner err %v, unplanned err %v", cq.Query, perr, oerr)
 			}
@@ -167,8 +168,8 @@ func TestPlannerDifferentialLive(t *testing.T) {
 		}
 	}
 	for _, cq := range allQueries() {
-		pr, perr := on.QueryAll(cq.Query)
-		or, oerr := off.QueryAll(cq.Query)
+		pr, perr := on.QueryAllCtx(context.Background(), cq.Query)
+		or, oerr := off.QueryAllCtx(context.Background(), cq.Query)
 		if (perr == nil) != (oerr == nil) {
 			t.Fatalf("%s: planner err %v, unplanned err %v", cq.Query, perr, oerr)
 		}

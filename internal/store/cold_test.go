@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,11 +42,11 @@ func packedDir(t *testing.T, docs map[string][]byte) string {
 // counts, same addresses.
 func assertStoresAgree(t *testing.T, want, got *store.Store, q, stage string) {
 	t.Helper()
-	wr, err := want.QueryAll(q)
+	wr, err := want.QueryAllCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %s on loose store: %v", stage, q, err)
 	}
-	gr, err := got.QueryAll(q)
+	gr, err := got.QueryAllCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %s on bundled store: %v", stage, q, err)
 	}
@@ -259,7 +260,7 @@ func TestLooseWinsOverBundled(t *testing.T) {
 	}
 	// Shakespeare content has SPEECH elements, DBLP content has none: a
 	// positive match under the DBLP name proves the loose tier won.
-	res, err := s.Query(name, `//SPEECH`)
+	res, err := s.QueryCtx(context.Background(), name, `//SPEECH`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestSidecarWriteFailureSurfaced(t *testing.T) {
 		t.Fatalf("synopsis should still serve from memory: %+v", st)
 	}
 	// The document itself is unaffected.
-	res, err := s.Query("only", `//b`)
+	res, err := s.QueryCtx(context.Background(), "only", `//b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestPackConcurrentWithQueries(t *testing.T) {
 		done <- err
 	}()
 	for i := 0; i < 20; i++ {
-		results, err := s.QueryAll(`//author`)
+		results, err := s.QueryAllCtx(context.Background(), `//author`)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestQueryAllDegradedCorruptDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := s.QueryAll("//a")
+	out, err := s.QueryAllCtx(context.Background(), "//a")
 	if err != nil {
 		t.Fatalf("fan-out must not fail on one corrupt doc: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestQueryAllDegradedCorruptDoc(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, store.QuarantineDir, "beta"+store.Ext)); err != nil {
 		t.Fatalf("beta not in quarantine: %v", err)
 	}
-	out, err = s.QueryAll("//a")
+	out, err = s.QueryAllCtx(context.Background(), "//a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestQueryAllCtxCancel(t *testing.T) {
 
 	// Cache accounting survived the partial runs: a clean fan-out matches
 	// a fresh store byte for byte.
-	got, err := s.QueryAll("//*")
+	got, err := s.QueryAllCtx(context.Background(), "//*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestQueryAllCtxCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	want, err := fresh.QueryAll("//*")
+	want, err := fresh.QueryAllCtx(context.Background(), "//*")
 	if err != nil {
 		t.Fatal(err)
 	}

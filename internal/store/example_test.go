@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Query("bib", `//paper[author["Codd"]]/title`)
+	res, err := s.QueryCtx(context.Background(), "bib", `//paper[author["Codd"]]/title`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -162,106 +161,9 @@ type handler struct {
 	timeouts *obs.Counter
 }
 
-// QueryResponse is the /query response for a single document.
-type QueryResponse struct {
-	Doc     string   `json:"doc"`
-	Query   string   `json:"query"`
-	Matches uint64   `json:"matches"` // tree nodes selected
-	Paths   []string `json:"paths"`   // up to `max` tree addresses, document order
-
-	// Pruned marks a document the path-synopsis index skipped during a
-	// fan-out: provably zero matches, so the instance-size and timing
-	// fields below stay zero (the document was never touched).
-	Pruned bool `json:"pruned,omitempty"`
-
-	// Direct marks a document the planner answered from synopsis
-	// statistics alone during a fan-out: matches is exact but no
-	// evaluation ran, so selected_dag and the instance-size fields stay
-	// zero (requesting paths of a count-shaped result evaluates lazily).
-	Direct bool `json:"direct,omitempty"`
-
-	// Engine statistics for the evaluation (the Figure 7 columns).
-	SelectedDAG int   `json:"selected_dag"`
-	VertsBefore int   `json:"verts_before"`
-	EdgesBefore int   `json:"edges_before"`
-	VertsAfter  int   `json:"verts_after"`
-	EdgesAfter  int   `json:"edges_after"`
-	PrepNanos   int64 `json:"prep_ns"` // string distillation + merge; 0 for tag-only
-	EvalNanos   int64 `json:"eval_ns"`
-
-	// Trace is the per-stage timing breakdown, present when the request
-	// asked for it with trace=1.
-	Trace *TraceInfo `json:"trace,omitempty"`
-}
-
-// TraceInfo is the JSON rendering of a query's stage trace (trace=1).
-type TraceInfo struct {
-	TotalNanos int64            `json:"total_ns"`
-	Stages     map[string]int64 `json:"stages_ns"` // only stages that ran
-
-	Considered   int   `json:"docs_considered"`
-	Pruned       int   `json:"docs_pruned,omitempty"`
-	Direct       int   `json:"docs_direct,omitempty"`
-	Scanned      int   `json:"docs_scanned"`
-	Failed       int   `json:"docs_failed,omitempty"`
-	BytesDecoded int64 `json:"bytes_decoded"` // archive bytes decoded on cache misses
-}
-
-// traceInfo renders a finalized trace. Callers must have passed tr
-// through CloseTrace first (Total is stamped there).
-func traceInfo(tr *obs.Trace) *TraceInfo {
-	if tr == nil {
-		return nil
-	}
-	stages := make(map[string]int64, obs.NumStages)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if d := tr.Spans[st]; d > 0 {
-			stages[st.String()] = int64(d)
-		}
-	}
-	return &TraceInfo{
-		TotalNanos:   int64(tr.Total),
-		Stages:       stages,
-		Considered:   tr.Considered,
-		Pruned:       tr.Pruned,
-		Direct:       tr.Direct,
-		Scanned:      tr.Scanned,
-		Failed:       tr.Failed,
-		BytesDecoded: tr.BytesDecoded(),
-	}
-}
-
-// FanoutResponse is the /query response when no document is named: one
-// query evaluated against the whole catalog.
-type FanoutResponse struct {
-	Query        string          `json:"query"`
-	Docs         []QueryResponse `json:"docs"`
-	Failed       []FanoutError   `json:"failed,omitempty"`
-	TotalMatches uint64          `json:"total_matches"`
-	Pruned       int             `json:"pruned"` // documents the synopsis index skipped
-	Direct       int             `json:"direct"` // documents answered from synopsis statistics
-	WallNanos    int64           `json:"wall_ns"`
-	Workers      int             `json:"workers"`
-
-	// Trace is the per-stage timing breakdown, present when the request
-	// asked for it with trace=1.
-	Trace *TraceInfo `json:"trace,omitempty"`
-}
-
-// FanoutError reports one document that failed during a fan-out.
-type FanoutError struct {
-	Doc   string `json:"doc"`
-	Error string `json:"error"`
-
-	// RetryAfter carries a shedding peer's Retry-After hint (seconds),
-	// preserved per document when a clustered fan-out degrades a 429
-	// into error entries instead of failing the whole request.
-	RetryAfter string `json:"retry_after,omitempty"`
-}
-
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	if h.sem != nil {
@@ -271,7 +173,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		default:
 			h.shed.Inc()
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests,
+			WriteError(w, http.StatusTooManyRequests,
 				fmt.Errorf("server at max concurrent queries (%d)", h.opts.MaxConcurrentQueries))
 			return
 		}
@@ -284,14 +186,14 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing q parameter"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing q parameter"))
 		return
 	}
 	max := h.opts.MaxPaths
 	if m := r.URL.Query().Get("max"); m != "" {
 		n, err := strconv.Atoi(m)
 		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad max parameter %q", m))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad max parameter %q", m))
 			return
 		}
 		if n < max {
@@ -299,90 +201,24 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	wantTrace := r.URL.Query().Get("trace") == "1"
-
-	if name := r.URL.Query().Get("doc"); name != "" {
-		res, tr, err := h.store.QueryTraceCtx(ctx, name, q, wantTrace)
-		if err != nil {
-			h.store.CloseTrace(tr, err)
-			if st, ok := h.ctxStatus(err); ok {
-				httpError(w, st, err)
-				return
-			}
-			httpError(w, statusFor(h.store, name), err)
-			return
-		}
-		t0 := tr.Now()
-		qr := toResponse(name, q, res, max)
-		tr.Record(obs.StageMaterialize, t0)
-		h.store.CloseTrace(tr, nil)
-		if wantTrace {
-			qr.Trace = traceInfo(tr)
-		}
-		writeJSON(w, qr)
-		return
-	}
-
-	t0 := time.Now()
-	results, tr, err := h.store.QueryAllTraceCtx(ctx, q, wantTrace)
+	name := r.URL.Query().Get("doc")
+	resp, err := h.store.Do(ctx, Request{Query: q, Doc: name, Max: max, Trace: r.URL.Query().Get("trace") == "1"})
 	if err != nil {
-		h.store.CloseTrace(tr, err)
-		if st, ok := h.ctxStatus(err); ok {
-			httpError(w, st, err)
-			return
+		status, ok := h.ctxStatus(err)
+		if !ok {
+			status = http.StatusBadRequest
+			if name != "" {
+				status = statusFor(h.store, name)
+			}
 		}
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, status, err)
 		return
 	}
-	m0 := tr.Now()
-	resp := FanoutResponse{Query: q, Docs: []QueryResponse{}, WallNanos: int64(time.Since(t0)), Workers: h.store.Workers()}
-	// max caps the addresses of the whole response, not of each document:
-	// documents early in catalog order consume the budget first.
-	remaining := max
-	for _, br := range results {
-		if br.Err != nil {
-			resp.Failed = append(resp.Failed, FanoutError{Doc: br.Name, Error: br.Err.Error()})
-			continue
-		}
-		qr := toResponse(br.Name, q, br.Result, remaining)
-		qr.Pruned = br.Pruned
-		if br.Pruned {
-			resp.Pruned++
-		}
-		qr.Direct = br.Direct
-		if br.Direct {
-			resp.Direct++
-		}
-		remaining -= len(qr.Paths)
-		resp.Docs = append(resp.Docs, qr)
-		resp.TotalMatches += br.Result.SelectedTree
+	if resp.Doc != nil {
+		WriteJSON(w, http.StatusOK, resp.Doc)
+		return
 	}
-	tr.Record(obs.StageMaterialize, m0)
-	h.store.CloseTrace(tr, nil)
-	if wantTrace {
-		resp.Trace = traceInfo(tr)
-	}
-	writeJSON(w, resp)
-}
-
-func toResponse(name, q string, res *core.Result, max int) QueryResponse {
-	paths := res.Paths(max)
-	if paths == nil {
-		paths = []string{}
-	}
-	return QueryResponse{
-		Doc:         name,
-		Query:       q,
-		Matches:     res.SelectedTree,
-		Paths:       paths,
-		SelectedDAG: res.SelectedDAG,
-		VertsBefore: res.VertsBefore,
-		EdgesBefore: res.EdgesBefore,
-		VertsAfter:  res.VertsAfter,
-		EdgesAfter:  res.EdgesAfter,
-		PrepNanos:   int64(res.ParseTime),
-		EvalNanos:   int64(res.EvalTime),
-	}
+	WriteJSON(w, http.StatusOK, resp.Fanout)
 }
 
 // DocsResponse is the /docs response.
@@ -393,13 +229,13 @@ type DocsResponse struct {
 
 func (h *handler) docs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	// One catalog snapshot for both fields, so Count always equals
 	// len(Docs) even while ingest or compaction mutates the catalog.
 	docs := h.store.Docs()
-	writeJSON(w, DocsResponse{Count: len(docs), Docs: docs})
+	WriteJSON(w, http.StatusOK, DocsResponse{Count: len(docs), Docs: docs})
 }
 
 // IngestResponse acknowledges a write.
@@ -414,7 +250,7 @@ type IngestResponse struct {
 func (h *handler) doc(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/docs/")
 	if name == "" || strings.Contains(name, "/") {
-		httpError(w, http.StatusNotFound, fmt.Errorf("bad document path %q", r.URL.Path))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("bad document path %q", r.URL.Path))
 		return
 	}
 	// Full name validation up front, not just the separator check above:
@@ -422,7 +258,7 @@ func (h *handler) doc(w http.ResponseWriter, r *http.Request) {
 	// names ('..', backslashes, oversized) out of every downstream log
 	// and error path, and gives GETs of such names a clean 400 too.
 	if err := ValidateDocName(name); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	switch r.Method {
@@ -438,33 +274,33 @@ func (h *handler) doc(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &mbe) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			httpError(w, status, fmt.Errorf("reading body: %v", err))
+			WriteError(w, status, fmt.Errorf("reading body: %v", err))
 			return
 		}
 		if err := ing.Add(name, body); err != nil {
-			httpError(w, ingestStatus(err), err)
+			WriteError(w, ingestStatus(err), err)
 			return
 		}
-		writeJSONStatus(w, http.StatusCreated, IngestResponse{Doc: name, Status: "ingested", Bytes: int64(len(body))})
+		WriteJSON(w, http.StatusCreated, IngestResponse{Doc: name, Status: "ingested", Bytes: int64(len(body))})
 	case http.MethodDelete:
 		ing := h.ingestOr403(w)
 		if ing == nil {
 			return
 		}
 		if err := ing.Delete(name); err != nil {
-			httpError(w, ingestStatus(err), err)
+			WriteError(w, ingestStatus(err), err)
 			return
 		}
-		writeJSON(w, IngestResponse{Doc: name, Status: "deleted"})
+		WriteJSON(w, http.StatusOK, IngestResponse{Doc: name, Status: "deleted"})
 	default:
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST, PUT or DELETE only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST, PUT or DELETE only"))
 	}
 }
 
 // flush handles POST /flush: synchronous compaction to archives.
 func (h *handler) flush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	ing := h.ingestOr403(w)
@@ -472,17 +308,17 @@ func (h *handler) flush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ing.Flush(); err != nil {
-		httpError(w, ingestStatus(err), err)
+		WriteError(w, ingestStatus(err), err)
 		return
 	}
-	writeJSON(w, IngestResponse{Status: "flushed"})
+	WriteJSON(w, http.StatusOK, IngestResponse{Status: "flushed"})
 }
 
 // ingestOr403 returns the write API, or answers 403 and returns nil on a
 // read-only store.
 func (h *handler) ingestOr403(w http.ResponseWriter) Ingestor {
 	if h.opts.Ingest == nil {
-		httpError(w, http.StatusForbidden, errors.New("store is read-only (start xcserve with -ingest)"))
+		WriteError(w, http.StatusForbidden, errors.New("store is read-only (start xcserve with -ingest)"))
 		return nil
 	}
 	return h.opts.Ingest
@@ -518,7 +354,7 @@ type StatsResponse struct {
 
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	uptime := time.Since(h.start)
@@ -533,7 +369,7 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		ist := h.opts.Ingest.Stats()
 		resp.Ingest = &ist
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SlowResponse is the /debug/slow response: the retained slow-query
@@ -546,19 +382,19 @@ type SlowResponse struct {
 
 func (h *handler) slow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	l := h.store.SlowLog()
 	if l == nil {
-		httpError(w, http.StatusNotFound, errors.New("slow-query log disabled (start xcserve with -slow-query)"))
+		WriteError(w, http.StatusNotFound, errors.New("slow-query log disabled (start xcserve with -slow-query)"))
 		return
 	}
 	entries := l.Entries()
 	if entries == nil {
 		entries = []obs.SlowEntry{}
 	}
-	writeJSON(w, SlowResponse{
+	WriteJSON(w, http.StatusOK, SlowResponse{
 		ThresholdNanos: int64(l.Threshold()),
 		Total:          l.Total(),
 		Entries:        entries,
@@ -583,10 +419,10 @@ type HealthResponse struct {
 // the catalog is reachable. Cluster peers probe it to drive membership.
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	writeJSON(w, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 // readyz handles GET /readyz: readiness for traffic — the store is
@@ -596,7 +432,7 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 // the distinction between dead and temporarily unsuitable.
 func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	var causes []string
@@ -609,11 +445,11 @@ func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(causes) > 0 {
-		writeJSONStatus(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			HealthResponse{Status: "unavailable", Causes: causes})
 		return
 	}
-	writeJSON(w, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 // ctxStatus maps a context error to its HTTP status: a deadline hit is
@@ -640,11 +476,9 @@ func statusFor(s *Store, name string) int {
 	return http.StatusNotFound
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON response body with the given status,
+// leaving HTML characters unescaped so query texts read as sent.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if status != http.StatusOK {
 		w.WriteHeader(status)
@@ -654,7 +488,8 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
+// WriteError writes the {"error": "..."} body every failed request gets.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func TestQueryEndpointFanout(t *testing.T) {
 	}
 	var wantTotal uint64
 	for name := range docs {
-		res, err := s.Query(name, `//author`)
+		res, err := s.QueryCtx(context.Background(), name, `//author`)
 		if err != nil {
 			t.Fatal(err)
 		}

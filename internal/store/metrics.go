@@ -142,34 +142,3 @@ func (s *Store) Metrics() *obs.Registry { return s.reg }
 // SlowLog returns the slow-query ring, or nil when
 // Options.SlowQueryThreshold left it disabled.
 func (s *Store) SlowLog() *obs.SlowLog { return s.slow }
-
-// newTrace starts a per-query trace, or returns nil when nothing will
-// consume it: tracing costs one allocation and a time.Now() pair per
-// stage, and with metrics disabled, no slow log and no explicit request
-// (force — the ?trace=1 parameter) the nil trace turns every Record
-// into a pointer test.
-func (s *Store) newTrace(query, doc string, force bool) *obs.Trace {
-	if !force && s.slow == nil && s.reg.Disabled() {
-		return nil
-	}
-	return obs.NewTrace(query, doc)
-}
-
-// CloseTrace finalizes tr: stamps the total wall time, feeds the query
-// and per-stage latency histograms, and offers the trace to the
-// slow-query log. Callers that materialize a response after
-// QueryTrace/QueryAllTrace record that span before closing. Nil-safe,
-// so untraced paths need no guard.
-func (s *Store) CloseTrace(tr *obs.Trace, err error) {
-	if tr == nil {
-		return
-	}
-	tr.Finish()
-	s.m.queryHist.Observe(uint64(tr.Total))
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if d := tr.Spans[st]; d > 0 {
-			s.m.stage[st].Observe(uint64(d))
-		}
-	}
-	s.slow.Observe(tr, err)
-}

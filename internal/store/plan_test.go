@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -43,14 +44,14 @@ func TestSynopsisDirectAllocs(t *testing.T) {
 	for _, tc := range cases {
 		// Warm: compile, plan, and let every document settle whatever
 		// caching its first fan-out wants.
-		if _, err := s.QueryAll(tc.query); err != nil {
+		if _, err := s.QueryAllCtx(context.Background(), tc.query); err != nil {
 			t.Fatal(err)
 		}
 
 		before := s.Stats()
 		var sel uint64
 		perFanout := testing.AllocsPerRun(50, func() {
-			res, err := s.QueryAll(tc.query)
+			res, err := s.QueryAllCtx(context.Background(), tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,11 +30,11 @@ func TestQueryAllPruningGolden(t *testing.T) {
 	}
 	for _, c := range corpus.Catalog() {
 		for qi, q := range c.Queries {
-			got, err := pruned.QueryAll(q)
+			got, err := pruned.QueryAllCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s Q%d pruned: %v", c.Name, qi+1, err)
 			}
-			want, err := full.QueryAll(q)
+			want, err := full.QueryAllCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s Q%d full: %v", c.Name, qi+1, err)
 			}
@@ -87,7 +88,7 @@ func TestSelectivePruneSkipsLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := s.QueryAll(`/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`) // Baseball only
+	results, err := s.QueryAllCtx(context.Background(), `/SEASON/LEAGUE/DIVISION/TEAM/PLAYER`) // Baseball only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCorruptSidecarRebuilt(t *testing.T) {
 		t.Fatalf("builds=%d indexed=%d, want 1/2", st.SynopsisBuilds, st.SynopsisDocs)
 	}
 	// Pruning still answers correctly for both documents.
-	results, err := s.QueryAll(`/a/b`)
+	results, err := s.QueryAllCtx(context.Background(), `/a/b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestStaleSidecarRejected(t *testing.T) {
 	if st := s.Stats(); st.SynopsisBuilds != 1 {
 		t.Fatalf("stale sidecar was trusted: builds=%d, want 1", st.SynopsisBuilds)
 	}
-	results, err := s.QueryAll(`/c/d`)
+	results, err := s.QueryAllCtx(context.Background(), `/c/d`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestDisableSynopsis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.QueryAll(`//zzz`); err != nil {
+	if _, err := s.QueryAllCtx(context.Background(), `//zzz`); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()

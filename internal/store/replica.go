@@ -1,13 +1,11 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/synopsis"
-	"repro/internal/xpath"
 )
 
 // ReplicaPayload reads the durable bytes of a catalogued document for
@@ -137,66 +135,4 @@ func writeDurable(s *Store, path string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// FanoutLocal evaluates query against this node's whole catalog and
-// renders one QueryResponse per document with an *independent*
-// per-document paths cap — unlike the HTTP handler's fan-out, which
-// spends one shared budget across documents in catalog order. The
-// cluster router needs the uncapped-per-doc form: it merges several
-// nodes' partial fan-outs, re-sorts into global catalog order, and only
-// then applies the shared budget, which reproduces the single-node
-// truncation exactly no matter how documents were distributed.
-func (s *Store) FanoutLocal(ctx context.Context, query string, maxPerDoc int) (*FanoutResponse, error) {
-	results, tr, err := s.QueryAllTraceCtx(ctx, query, false)
-	if err != nil {
-		s.CloseTrace(tr, err)
-		return nil, err
-	}
-	resp := &FanoutResponse{Query: query, Docs: []QueryResponse{}, Workers: s.Workers()}
-	for _, br := range results {
-		if br.Err != nil {
-			resp.Failed = append(resp.Failed, FanoutError{Doc: br.Name, Error: br.Err.Error()})
-			continue
-		}
-		qr := toResponse(br.Name, query, br.Result, maxPerDoc)
-		qr.Pruned = br.Pruned
-		if br.Pruned {
-			resp.Pruned++
-		}
-		qr.Direct = br.Direct
-		if br.Direct {
-			resp.Direct++
-		}
-		resp.Docs = append(resp.Docs, qr)
-		resp.TotalMatches += br.Result.SelectedTree
-	}
-	s.CloseTrace(tr, nil)
-	return resp, nil
-}
-
-// SignaturePrune tests a query signature — typically one shipped by a
-// cluster peer ahead of the query text — against every catalogued
-// document's synopsis: the signature-first admission check of the
-// scatter-gather protocol. It returns the catalog names in serving
-// order, and a parallel prunable mask marking documents the signature
-// alone proves empty. A node whose whole catalog is prunable answers a
-// scatter without compiling the query, let alone decoding a document.
-// With the synopsis index disabled (or a signature carrying no
-// checkable facts) nothing is prunable and the mask is nil.
-func (s *Store) SignaturePrune(sig *xpath.Signature) (names []string, prunable []bool) {
-	names = s.Names()
-	if s.syn == nil {
-		return names, nil
-	}
-	rs := s.syn.Resolve(sig)
-	if rs == nil {
-		return names, nil
-	}
-	live := s.liveView()
-	prunable = make([]bool, len(names))
-	for i, name := range names {
-		prunable[i] = !s.docSynopsis(live, name).CanMatch(rs)
-	}
-	return names, prunable
 }

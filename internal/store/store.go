@@ -16,11 +16,14 @@
 // construction would, so results are identical to querying the original
 // document, byte for byte.
 //
-// Cached documents are immutable, which makes the read path
-// coordination-free: any number of Query/QueryAll calls may run
-// concurrently (the only shared mutable state is the cache index, touched
-// briefly per lookup), and eviction simply drops a reference — in-flight
-// queries keep using the document they already hold.
+// Every query enters through Do (query.go), which serves the HTTP
+// handler and the cluster's local and peer fan-outs alike; QueryCtx and
+// QueryAllCtx are thin wrappers over the same evaluation. Cached
+// documents are immutable, which makes the read path coordination-free:
+// any number of queries may run concurrently (the only shared mutable
+// state is the cache index, touched briefly per lookup), and eviction
+// simply drops a reference — in-flight queries keep using the document
+// they already hold.
 //
 // A Store can also serve documents that have not reached disk as archives
 // yet: SetLive attaches a Live view (internal/ingest's memtable), and the
@@ -44,7 +47,6 @@ package store
 
 import (
 	"container/list"
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -61,11 +63,8 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/label"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/synopsis"
 	"repro/internal/xpath"
 )
@@ -86,7 +85,7 @@ type Options struct {
 	// larger than the whole budget is still servable. <= 0 selects
 	// DefaultCacheBytes.
 	CacheBytes int64
-	// Workers bounds QueryAll's fan-out concurrency. <= 0 selects
+	// Workers bounds a fan-out's concurrency. <= 0 selects
 	// GOMAXPROCS.
 	Workers int
 	// ProgramCache is the number of compiled query programs retained.
@@ -141,7 +140,7 @@ type Store struct {
 
 	// syn is the catalog-level path-synopsis index (nil when disabled):
 	// per-document summaries over a shared label dictionary that
-	// QueryAll checks to skip documents a query provably cannot match.
+	// fan-outs check to skip documents a query provably cannot match.
 	// Entries track the archive catalog (Open/AddArchive/RemoveArchive);
 	// live documents carry their own synopses through the Live view.
 	syn *synopsis.Index
@@ -589,18 +588,18 @@ func (s *Store) Names() []string {
 // (PackLoose unlinked the loose file, or an audit rewrote the bundle)
 // retries once against the freshly catalogued entry.
 func (s *Store) Doc(name string) (*Doc, error) {
-	return s.doc(name, nil)
+	d, _, err := s.doc(name)
+	return d, err
 }
 
-// doc is Doc with decode accounting: a cache miss charges the decoded
-// bytes to the store counter and, when tr is non-nil, to the query's
-// trace.
-func (s *Store) doc(name string, tr *obs.Trace) (*Doc, error) {
+// doc is Doc with decode accounting: it also returns the archive bytes
+// a cache miss decoded (0 on a hit), for the query's trace.
+func (s *Store) doc(name string) (*Doc, int64, error) {
 	if l := s.liveView(); l != nil {
 		if d, deleted := l.LiveDoc(name); d != nil {
-			return d, nil
+			return d, 0, nil
 		} else if deleted {
-			return nil, fmt.Errorf("store: no document %q", name)
+			return nil, 0, fmt.Errorf("store: no document %q", name)
 		}
 	}
 	for attempt := 0; ; attempt++ {
@@ -608,15 +607,15 @@ func (s *Store) doc(name string, tr *obs.Trace) (*Doc, error) {
 		e, ok := s.entries[name]
 		if !ok {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("store: no document %q", name)
+			return nil, 0, fmt.Errorf("store: no document %q", name)
 		}
 		if d := s.touchLocked(e); d != nil {
 			s.mu.Unlock()
-			return d, nil
+			return d, 0, nil
 		}
 		s.mu.Unlock()
 
-		d, err := s.loadThrough(e, tr)
+		d, decoded, err := s.loadThrough(e)
 		if err != nil {
 			// If the catalogued entry changed under us the source moved
 			// (tier migration or replacement) and the error is expected
@@ -627,28 +626,28 @@ func (s *Store) doc(name string, tr *obs.Trace) (*Doc, error) {
 			if attempt == 0 && cur != nil && cur != e {
 				continue
 			}
-			return nil, err
+			return nil, 0, err
 		}
-		return d, nil
+		return d, decoded, nil
 	}
 }
 
 // loadThrough decodes e's document with the per-entry load lock held,
 // installing the result in the cache if e is still catalogued.
-func (s *Store) loadThrough(e *entry, tr *obs.Trace) (*Doc, error) {
+func (s *Store) loadThrough(e *entry) (*Doc, int64, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	// A concurrent loader may have finished while we waited.
 	s.mu.Lock()
 	if d := s.touchLocked(e); d != nil {
 		s.mu.Unlock()
-		return d, nil
+		return d, 0, nil
 	}
 	s.mu.Unlock()
 
-	d, err := s.loadEntry(e, tr)
+	d, decoded, err := s.loadEntry(e)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	s.mu.Lock()
@@ -666,7 +665,7 @@ func (s *Store) loadThrough(e *entry, tr *obs.Trace) (*Doc, error) {
 		s.evictLocked()
 	}
 	s.mu.Unlock()
-	return d, nil
+	return d, decoded, nil
 }
 
 // Has reports whether name is currently servable (live or archived, and
@@ -841,35 +840,32 @@ func (s *Store) evictLocked() {
 }
 
 // loadEntry decodes e's document from whichever tier backs it, charging
-// the decoded bytes to the store counter and the query's trace (tr may
-// be nil — fan-out workers share one trace, whose byte counter is
-// atomic).
-func (s *Store) loadEntry(e *entry, tr *obs.Trace) (*Doc, error) {
+// the decoded bytes to the store counter and returning them.
+func (s *Store) loadEntry(e *entry) (*Doc, int64, error) {
 	if e.b == nil {
 		d, err := loadDoc(s.fs, e.name, e.path)
-		if err == nil {
-			s.m.decodeBytes.Add(uint64(e.fileBytes))
-			tr.AddDecodedBytes(e.fileBytes)
+		if err != nil {
+			return nil, 0, err
 		}
-		return d, err
+		s.m.decodeBytes.Add(uint64(e.fileBytes))
+		return d, e.fileBytes, nil
 	}
 	data, err := e.b.Archive(e.name)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	s.m.bundleReads.Inc()
 	s.m.bundleReadBytes.Add(uint64(len(data)))
 	a, err := codec.DecodeArchiveBytes(data)
 	if err != nil {
-		return nil, fmt.Errorf("store: decoding %q from %s: %w", e.name, e.b.Path(), err)
+		return nil, 0, fmt.Errorf("store: decoding %q from %s: %w", e.name, e.b.Path(), err)
 	}
 	d, err := NewDoc(e.name, a)
 	if err != nil {
-		return nil, fmt.Errorf("store: rebuilding skeleton of %q: %w", e.name, err)
+		return nil, 0, fmt.Errorf("store: rebuilding skeleton of %q: %w", e.name, err)
 	}
 	s.m.decodeBytes.Add(uint64(len(data)))
-	tr.AddDecodedBytes(int64(len(data)))
-	return d, nil
+	return d, int64(len(data)), nil
 }
 
 // loadDoc reads and decodes one archive file and derives its prepared
@@ -934,448 +930,6 @@ func archiveMemBytes(a *container.Archive) int64 {
 	return instanceMemBytes(a.Skeleton) +
 		int64(a.Store.TotalBytes()) +
 		int64(a.Store.NumChunks())*stringOverhead
-}
-
-// Program returns the compiled form of query, caching compilations in an
-// LRU keyed by the query text. Programs are schema-independent (relations
-// are resolved by name at evaluation time), so one cached program serves
-// every document in the store.
-func (s *Store) Program(query string) (*xpath.Program, error) {
-	s.mu.Lock()
-	if el, ok := s.progs[query]; ok {
-		s.progLRU.MoveToFront(el)
-		s.m.progHits.Inc()
-		prog := el.Value.(*progEntry).prog
-		s.mu.Unlock()
-		return prog, nil
-	}
-	s.m.progMisses.Inc()
-	s.mu.Unlock()
-
-	prog, err := xpath.CompileQuery(query)
-	if err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	if _, ok := s.progs[query]; !ok {
-		s.progs[query] = s.progLRU.PushFront(&progEntry{query: query, prog: prog})
-		for s.progLRU.Len() > s.progCap {
-			back := s.progLRU.Back()
-			pe := back.Value.(*progEntry)
-			s.progLRU.Remove(back)
-			delete(s.progs, pe.query)
-		}
-	}
-	s.mu.Unlock()
-	return prog, nil
-}
-
-type progEntry struct {
-	query string
-	prog  *xpath.Program
-}
-
-// planEntry is one cached planner outcome: the (possibly reordered)
-// plan and the chain labels resolved against the dictionary version the
-// cache key pins.
-type planEntry struct {
-	key   string
-	pl    *plan.Plan
-	chain []label.ID // resolved ChainShape labels; nil when not chain-shaped
-}
-
-// planFor plans one compiled query against the synopsis statistics,
-// caching the outcome. The cache key binds the plan to the dictionary
-// version and index generation its statistics were read at, so catalog
-// changes (AddArchive/RemoveArchive, new labels) invalidate by key
-// mismatch — stale entries just age out of the LRU. With the planner
-// disabled the original program evaluates as-is.
-func (s *Store) planFor(query string, prog *xpath.Program) (*plan.Plan, []label.ID) {
-	if s.noPlan || s.syn == nil {
-		return &plan.Plan{Prog: prog}, nil
-	}
-	key := plan.CacheKey(query, uint64(s.syn.Dict().Len()), s.syn.Generation())
-	s.mu.Lock()
-	if el, ok := s.plans[key]; ok {
-		s.planLRU.MoveToFront(el)
-		pe := el.Value.(*planEntry)
-		s.mu.Unlock()
-		return pe.pl, pe.chain
-	}
-	s.mu.Unlock()
-
-	pl := plan.Build(prog, s.syn)
-	var chain []label.ID
-	if pl.Chain != nil {
-		chain = s.syn.Dict().ResolveChain(pl.Chain.Labels)
-	}
-	if pl.Reordered {
-		s.m.planReordered.Inc()
-	}
-
-	s.mu.Lock()
-	if _, ok := s.plans[key]; !ok {
-		s.plans[key] = s.planLRU.PushFront(&planEntry{key: key, pl: pl, chain: chain})
-		for s.planLRU.Len() > s.progCap {
-			back := s.planLRU.Back()
-			pe := back.Value.(*planEntry)
-			s.planLRU.Remove(back)
-			delete(s.plans, pe.key)
-		}
-	}
-	s.mu.Unlock()
-	return pl, chain
-}
-
-// Query evaluates one query against one document, through both caches.
-// The planner's reordered program is used (cheapest operands first) but
-// the synopsis-direct shortcut is not: a single-document caller is about
-// to touch the document anyway, and its response reports evaluation
-// statistics a direct answer cannot supply.
-func (s *Store) Query(name, query string) (*core.Result, error) {
-	res, tr, err := s.QueryTrace(name, query, false)
-	s.CloseTrace(tr, err)
-	return res, err
-}
-
-// QueryCtx is Query honoring ctx: evaluation is skipped once the
-// context is cancelled or past its deadline, and the context's error is
-// returned.
-func (s *Store) QueryCtx(ctx context.Context, name, query string) (*core.Result, error) {
-	res, tr, err := s.QueryTraceCtx(ctx, name, query, false)
-	s.CloseTrace(tr, err)
-	return res, err
-}
-
-// QueryTrace is Query with a stage-timed trace: plan (compile +
-// planning), load (cache lookup or decode) and eval spans, plus the
-// decoded-byte count. The returned trace is unfinalized — the caller
-// records its materialize span (response assembly) and then must pass
-// the trace to CloseTrace, which stamps the total and feeds the latency
-// histograms and slow-query log. tr is nil (and safe to pass on) when
-// tracing is off and force is false.
-func (s *Store) QueryTrace(name, query string, force bool) (*core.Result, *obs.Trace, error) {
-	return s.QueryTraceCtx(context.Background(), name, query, force)
-}
-
-// QueryTraceCtx is QueryTrace honoring ctx. Cancellation is checked
-// between stages (an evaluation already running finishes — fn is never
-// interrupted mid-call); once ctx is done the context's error is
-// returned and no further work starts.
-func (s *Store) QueryTraceCtx(ctx context.Context, name, query string, force bool) (*core.Result, *obs.Trace, error) {
-	tr := s.newTrace(query, name, force)
-	t0 := tr.Now()
-	prog, err := s.Program(query)
-	if err != nil {
-		tr.Record(obs.StagePlan, t0)
-		return nil, tr, err
-	}
-	pl, _ := s.planFor(query, prog)
-	tr.Record(obs.StagePlan, t0)
-	if err := ctx.Err(); err != nil {
-		return nil, tr, err
-	}
-
-	t0 = tr.Now()
-	d, err := s.doc(name, tr)
-	tr.Record(obs.StageLoad, t0)
-	if tr != nil {
-		tr.Considered = 1
-	}
-	if err != nil {
-		if tr != nil {
-			tr.Failed = 1
-		}
-		s.noteDocFailure(name, err)
-		return nil, tr, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, tr, err
-	}
-	s.m.queries.Inc()
-	t0 = tr.Now()
-	res, err := d.Run(pl.Prog)
-	tr.Record(obs.StageEval, t0)
-	if err == nil {
-		if tr != nil {
-			tr.Scanned = 1
-		}
-		// Tag-only queries grow the frozen view's caches too (path
-		// counts, label columns), so every query re-estimates.
-		s.recharge(name, d)
-	} else if tr != nil {
-		tr.Failed = 1
-	}
-	return res, tr, err
-}
-
-// QueryAll evaluates one query against every catalogued document and
-// returns one result per document in name order, like core.Pool.QueryAll.
-// The path-synopsis index is consulted first: documents whose synopsis
-// proves the query cannot match are skipped entirely — not loaded, not
-// decoded, not evaluated — and report a Pruned empty result. The rest
-// are loaded (or fetched from cache) concurrently, then every
-// evaluation fans out on the worker pool directly against the shared
-// frozen instances — the coordination-free read path: nothing is cloned,
-// workers share only the read-only bases and program, and each query's
-// writes live in its own pooled overlay (engine.RunFrozen via
-// core.Prepared.Run). Pruning is coordination-free too: synopses are
-// immutable, the index lock covers one map read per document, and a
-// pruned answer for a name racing a concurrent replacement is the
-// correct (empty) answer for the version the synopsis described — the
-// same per-document snapshot semantics unpruned fan-out already has.
-// Programs with string conditions distil per document on the same pool.
-// Per-document failures are reported in the results, not as a call
-// error.
-func (s *Store) QueryAll(query string) ([]core.BatchResult, error) {
-	out, tr, err := s.QueryAllTrace(query, false)
-	s.CloseTrace(tr, err)
-	return out, err
-}
-
-// QueryAllCtx is QueryAll honoring ctx: once the context is cancelled
-// or past its deadline no further documents are loaded or evaluated,
-// and the context's error is returned as the call error. Per-document
-// corruption never cancels the fan-out — only the caller's ctx does.
-func (s *Store) QueryAllCtx(ctx context.Context, query string) ([]core.BatchResult, error) {
-	out, tr, err := s.QueryAllTraceCtx(ctx, query, false)
-	s.CloseTrace(tr, err)
-	return out, err
-}
-
-// QueryAllTrace is QueryAll with a stage-timed trace: plan, prune,
-// direct, load and eval spans, plus the fan-out's document accounting
-// (considered/pruned/direct/scanned/failed) and decoded bytes. Like
-// QueryTrace, the returned trace is unfinalized and must reach
-// CloseTrace; it is nil when tracing is off and force is false.
-func (s *Store) QueryAllTrace(query string, force bool) ([]core.BatchResult, *obs.Trace, error) {
-	return s.QueryAllTraceCtx(context.Background(), query, force)
-}
-
-// QueryAllTraceCtx is QueryAllTrace honoring ctx. Cancellation is
-// cooperative: once ctx is done no further documents are dispatched
-// (loads and evaluations already running finish), and the context's
-// error is returned as the call error with nil results — the fan-out
-// has no complete answer to give. Per-document failures (corrupt
-// archives included) still land in their result slots and never fail
-// the call.
-func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) ([]core.BatchResult, *obs.Trace, error) {
-	tr := s.newTrace(query, "", force)
-	t0 := tr.Now()
-	prog, err := s.Program(query)
-	if err != nil {
-		tr.Record(obs.StagePlan, t0)
-		return nil, tr, err
-	}
-	pl, chain := s.planFor(query, prog)
-	tr.Record(obs.StagePlan, t0)
-	eval := pl.Prog
-	names := s.Names()
-	out := make([]core.BatchResult, len(names))
-	docs := make([]*Doc, len(names))
-	t0 = tr.Now()
-	skip := s.pruneSet(prog, names, out)
-	tr.Record(obs.StagePrune, t0)
-	t0 = tr.Now()
-	skip = s.directSet(pl, chain, eval, names, out, skip)
-	tr.Record(obs.StageDirect, t0)
-	t0 = tr.Now()
-	err = s.forEachCtx(ctx, len(names), func(i int) {
-		out[i].Name = names[i]
-		if skip != nil && skip[i] {
-			return
-		}
-		docs[i], out[i].Err = s.doc(names[i], tr)
-		if out[i].Err != nil {
-			s.noteDocFailure(names[i], out[i].Err)
-		}
-	})
-	tr.Record(obs.StageLoad, t0)
-	if err != nil {
-		return nil, tr, err
-	}
-
-	scanned := uint64(len(names))
-	t0 = tr.Now()
-	err = s.forEachCtx(ctx, len(names), func(i int) {
-		if out[i].Err != nil || (skip != nil && skip[i]) {
-			return
-		}
-		out[i].Result, out[i].Err = docs[i].Run(eval)
-		if out[i].Err == nil {
-			s.recharge(names[i], docs[i])
-		}
-	})
-	tr.Record(obs.StageEval, t0)
-	if err != nil {
-		return nil, tr, err
-	}
-	if skip != nil {
-		for _, sk := range skip {
-			if sk {
-				scanned--
-			}
-		}
-	}
-	s.m.queries.Add(scanned)
-	if tr != nil {
-		tr.Considered = len(names)
-		for i := range out {
-			switch {
-			case out[i].Pruned:
-				tr.Pruned++
-			case out[i].Direct:
-				tr.Direct++
-			case out[i].Err != nil:
-				tr.Failed++
-			default:
-				tr.Scanned++
-			}
-		}
-	}
-	return out, tr, nil
-}
-
-// directSet marks every document an exists/count-shaped plan can answer
-// from its synopsis statistics alone, filling its result slot with a
-// Direct result — no load, no decode, no evaluation. Documents already
-// pruned stay pruned (an exact-zero chain count and a signature proof
-// agree). The returned skip set is the union of pruned and direct
-// documents; nil means nothing was skippable either way. Count-shaped
-// direct results carry a fallback that evaluates the planned program for
-// real if a consumer asks for paths or an instance — counted as a
-// planner fallback, and charged like any other query.
-func (s *Store) directSet(pl *plan.Plan, chain []label.ID, eval *xpath.Program, names []string, out []core.BatchResult, skip []bool) []bool {
-	if s.syn == nil || pl.Chain == nil || chain == nil {
-		return skip
-	}
-	live := s.liveView()
-	direct := uint64(0)
-	for i, name := range names {
-		if skip != nil && skip[i] {
-			continue
-		}
-		count, exact := s.docSynopsis(live, name).ChainCount(chain)
-		if !exact {
-			continue
-		}
-		if skip == nil {
-			skip = make([]bool, len(names))
-		}
-		skip[i] = true
-		out[i].Direct = true
-		direct++
-		switch {
-		case pl.Chain.Exists:
-			out[i].Result = core.ExistsResult(count > 0)
-		case count == 0:
-			out[i].Result = core.ExistsResult(false)
-		default:
-			nm := name
-			out[i].Result = core.DirectResult(count, func() (*core.Result, error) {
-				s.m.planFallback.Inc()
-				d, err := s.Doc(nm)
-				if err != nil {
-					return nil, err
-				}
-				res, err := d.Run(eval)
-				if err == nil {
-					s.recharge(nm, d)
-				}
-				return res, err
-			})
-		}
-	}
-	s.m.planDirect.Add(direct)
-	return skip
-}
-
-// docSynopsis returns the synopsis describing the currently served
-// version of name: the live document's own synopsis when the name is
-// live (so a replacement ingested over an archived name is never judged
-// by the stale archive summary), else the indexed one. May be nil —
-// every consumer (CanMatch, ChainCount) treats nil as "no information".
-func (s *Store) docSynopsis(live Live, name string) *synopsis.Synopsis {
-	if live != nil {
-		if ls, isLive := live.LiveSynopsis(name); isLive {
-			return ls
-		}
-	}
-	return s.syn.Get(name)
-}
-
-// pruneSet consults the synopsis index for one fan-out: it resolves the
-// program's signature once against the shared dictionary and marks every
-// document whose synopsis proves emptiness, filling its result slot with
-// a Pruned empty result. Returns nil when nothing can prune (index
-// disabled, or the signature carries no checkable fact). Live documents
-// are judged by their own synopses (via the Live view), archived ones by
-// the index; documents with no synopsis anywhere are scanned.
-func (s *Store) pruneSet(prog *xpath.Program, names []string, out []core.BatchResult) []bool {
-	if s.syn == nil {
-		return nil
-	}
-	rs := s.syn.Resolve(prog.Sig)
-	if rs == nil {
-		return nil
-	}
-	live := s.liveView()
-	skip := make([]bool, len(names))
-	pruned := 0
-	for i, name := range names {
-		if !s.docSynopsis(live, name).CanMatch(rs) {
-			skip[i] = true
-			out[i].Pruned = true
-			out[i].Result = core.EmptyResult()
-			pruned++
-		}
-	}
-	// Considered before pruned, matching the load order in Stats (pruned
-	// first), so considered >= pruned under any interleaving.
-	s.m.pruneConsidered.Add(uint64(len(names)))
-	s.m.prunePruned.Add(uint64(pruned))
-	return skip
-}
-
-// forEach runs fn(i) for i in [0, n) on the store's worker pool.
-func (s *Store) forEach(n int, fn func(i int)) {
-	engine.ForEach(n, s.workers, fn)
-}
-
-// forEachCtx is forEach with cooperative cancellation: once ctx is done
-// no further indices are dispatched and the context's error is
-// returned. Indices never dispatched are left untouched in the caller's
-// slices.
-func (s *Store) forEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	return engine.ForEachCtx(ctx, n, s.workers, fn)
-}
-
-// noteDocFailure classifies a per-document serving failure inside a
-// query: every one counts as a degraded serve, and decode corruption
-// additionally queues the artifact as a scrub suspect so the background
-// scrubber verifies and quarantines it instead of the read path
-// tripping over it forever. Cancellation errors are the caller's doing,
-// not degradation.
-func (s *Store) noteDocFailure(name string, err error) {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	s.m.degradedDocs.Inc()
-	if !errors.Is(err, codec.ErrCorrupt) {
-		return
-	}
-	s.mu.Lock()
-	e := s.entries[name]
-	s.mu.Unlock()
-	if e == nil {
-		return
-	}
-	su := Suspect{Name: name, Path: e.path, Reason: err.Error()}
-	if e.b != nil {
-		su.Path, su.Bundled = e.b.Path(), true
-	}
-	s.addSuspect(su)
 }
 
 // Stats is a point-in-time snapshot of the store's caches and counters.

@@ -105,7 +105,7 @@ func TestGoldenVsDocument(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s Q%d direct: %v", c.Name, qi+1, err)
 				}
-				got, err := s.Query(c.Name, q)
+				got, err := s.QueryCtx(context.Background(), c.Name, q)
 				if err != nil {
 					t.Fatalf("%s: %s Q%d served: %v", tc.stage, c.Name, qi+1, err)
 				}
@@ -134,7 +134,7 @@ func TestQueryAllMatchesPerDocQueries(t *testing.T) {
 	// One tag-only query (shared frozen base) and one with a string
 	// condition (per-document distillation path).
 	for _, q := range []string{`//author`, `//article[author["Codd"]]`} {
-		results, err := s.QueryAll(q)
+		results, err := s.QueryAllCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestQueryAllMatchesPerDocQueries(t *testing.T) {
 			if br.Err != nil {
 				t.Fatalf("%s: %v", br.Name, br.Err)
 			}
-			want, err := s.Query(br.Name, q)
+			want, err := s.QueryCtx(context.Background(), br.Name, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +210,7 @@ func TestEvictionUnderByteBudget(t *testing.T) {
 
 	// An evicted document must be transparently reloadable.
 	missesBefore := st.DocMisses
-	if _, err := s.Query(names[0], `//author`); err != nil {
+	if _, err := s.QueryCtx(context.Background(), names[0], `//author`); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().DocMisses; got == missesBefore {
@@ -234,7 +234,7 @@ func TestOversizedDocumentStaysServable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range s.Names() {
-		if _, err := s.Query(n, `//author`); err != nil {
+		if _, err := s.QueryCtx(context.Background(), n, `//author`); err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
 		if st := s.Stats(); st.Loaded > 1 {
@@ -252,7 +252,7 @@ func TestProgramCache(t *testing.T) {
 	name := s.Names()[0]
 	queries := []string{`//author`, `//title`, `//year`}
 	for _, q := range queries {
-		if _, err := s.Query(name, q); err != nil {
+		if _, err := s.QueryCtx(context.Background(), name, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,14 +264,14 @@ func TestProgramCache(t *testing.T) {
 		t.Fatalf("program misses = %d, want 3", st.ProgramMisses)
 	}
 	// Re-running the most recent query must hit.
-	if _, err := s.Query(name, queries[2]); err != nil {
+	if _, err := s.QueryCtx(context.Background(), name, queries[2]); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().ProgramHits; got != 1 {
 		t.Fatalf("program hits = %d, want 1", got)
 	}
 	// A malformed query is a compile error, not a cache entry.
-	if _, err := s.Query(name, `///`); err == nil {
+	if _, err := s.QueryCtx(context.Background(), name, `///`); err == nil {
 		t.Fatal("malformed query did not fail")
 	}
 }
@@ -281,7 +281,7 @@ func TestUnknownDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("nope", `//a`); err == nil {
+	if _, err := s.QueryCtx(context.Background(), "nope", `//a`); err == nil {
 		t.Fatal("querying an unknown document did not fail")
 	}
 }
@@ -389,7 +389,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				name := names[(g+i)%len(names)]
 				q := queries[(g*7+i)%len(queries)]
-				if _, err := s.Query(name, q); err != nil {
+				if _, err := s.QueryCtx(context.Background(), name, q); err != nil {
 					errs <- fmt.Errorf("%s %s: %w", name, q, err)
 					return
 				}
@@ -400,7 +400,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, err := s.QueryAll(queries[g]); err != nil {
+			if _, err := s.QueryAllCtx(context.Background(), queries[g]); err != nil {
 				errs <- err
 			}
 		}(g)
@@ -424,11 +424,11 @@ func TestStringQueriesChargeMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("DBLP", `//author`); err != nil { // load, tag-only
+	if _, err := s.QueryCtx(context.Background(), "DBLP", `//author`); err != nil { // load, tag-only
 		t.Fatal(err)
 	}
 	base := s.Stats().CacheBytes
-	if _, err := s.Query("DBLP", `//article[author["Codd"]]`); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "DBLP", `//article[author["Codd"]]`); err != nil {
 		t.Fatal(err)
 	}
 	grown := s.Stats().CacheBytes
@@ -445,7 +445,7 @@ func TestStringQueriesChargeMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	mv, me := d.Prepared().MemoSize()
-	if _, err := s.Query("DBLP", `//article[author["Codd"]]/title`); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "DBLP", `//article[author["Codd"]]/title`); err != nil {
 		t.Fatal(err)
 	}
 	if mv2, me2 := d.Prepared().MemoSize(); mv2 != mv || me2 != me {

@@ -79,7 +79,7 @@ func tortureOnce(t *testing.T, seed int64, docs map[string][]byte, queries []str
 	// Golden answers over the mixed catalog, before any corruption.
 	golden := make(map[string]map[string]uint64, len(queries))
 	for _, q := range queries {
-		out, err := s.QueryAll(q)
+		out, err := s.QueryAllCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("golden %q: %v", q, err)
 		}
@@ -232,7 +232,7 @@ func tortureOnce(t *testing.T, seed int64, docs map[string][]byte, queries []str
 
 	// Golden equality on the surviving healthy subset, every query.
 	for _, q := range queries {
-		out, err := s.QueryAll(q)
+		out, err := s.QueryAllCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("post-scrub %q: %v", q, err)
 		}

@@ -14,7 +14,7 @@
 //
 // A query's xpath.Signature (required label groups, root-anchored path
 // prefix) is checked against a synopsis with CanMatch; a false answer is
-// a proof that full evaluation would select nothing, so store.QueryAll
+// a proof that full evaluation would select nothing, so a store fan-out
 // can skip the document. Everything on the read path is immutable after
 // construction, keeping the index as coordination-free as the rest of
 // the store: lookups share the Dict under a read lock and synopses with
