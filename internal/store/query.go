@@ -123,9 +123,9 @@ type FanoutError struct {
 // named document, or ctx's error once it is done. Every request is
 // traced into the latency histograms and the slow-query log when those
 // are on.
-func (s *Store) Do(ctx context.Context, req Request) (*Response, error) {
+func (s *Store) Do(ctx context.Context, req Request) (Response, error) {
 	if req.Max < 0 {
-		return nil, fmt.Errorf("store: negative address budget %d", req.Max)
+		return Response{}, fmt.Errorf("store: negative address budget %d", req.Max)
 	}
 	tr := s.newTrace(req.Query, req.Doc, req.Trace)
 	var resp Response
@@ -151,7 +151,7 @@ func (s *Store) Do(ctx context.Context, req Request) (*Response, error) {
 	}
 	s.closeTrace(tr, err)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
 	if req.Trace {
 		if resp.Doc != nil {
@@ -160,7 +160,7 @@ func (s *Store) Do(ctx context.Context, req Request) (*Response, error) {
 			resp.Fanout.Trace = traceInfo(tr)
 		}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // QueryCtx evaluates one query against one document, through both
