@@ -40,6 +40,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/codec"
 	"repro/internal/container"
+	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/internal/synopsis"
 )
@@ -104,7 +105,7 @@ func packOne(src, dst string) (a *container.Archive, inBytes, outBytes int64) {
 	cli.Fatal(err)
 	dict := synopsis.NewDict()
 	side := synopsis.SidecarPath(dst)
-	cli.Fatalf(side, synopsis.WriteSidecar(side, synopsis.Build(a.Skeleton, dict, synopsis.Options{}), dict, st.Size()))
+	cli.Fatalf(side, synopsis.WriteSidecar(fault.OS, side, synopsis.Build(a.Skeleton, dict, synopsis.Options{}), dict, st.Size()))
 	return a, int64(len(data)), st.Size()
 }
 

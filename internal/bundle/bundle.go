@@ -465,10 +465,12 @@ func (w *Writer) Seal() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("bundle: sealing %s: %w", w.path, err)
 	}
+	// The index lands beside the data file, so the directory fsync that
+	// publishes it also makes the data file's entry durable.
 	if err := writeIndex(w.fs, IndexPath(w.path), w.refs, w.off, 0); err != nil {
 		return fmt.Errorf("bundle: writing index of %s: %w", w.path, err)
 	}
-	return syncDir(w.fs, filepath.Dir(w.path))
+	return nil
 }
 
 // Abort discards an unsealed bundle (best-effort cleanup after a failed
@@ -476,15 +478,4 @@ func (w *Writer) Seal() error {
 func (w *Writer) Abort() {
 	w.f.Close()
 	w.fs.Remove(w.path)
-}
-
-// syncDir fsyncs a directory so entries created or renamed into it are
-// durable.
-func syncDir(fsys fault.FS, dir string) error {
-	f, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }

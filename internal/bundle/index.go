@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 )
 
 // Needle-index file format. The whole file is one CRC-framed payload:
@@ -18,7 +17,7 @@ import (
 //	           nEntries (entry)*
 //	entry   := nameLen(uvarint) name needleOff payloadOff archiveLen
 //	           sidecarLen archiveCRC(4B LE) sidecarCRC(4B LE)
-//	file    := payload crc32(payload, IEEE, 4B LE)
+//	file    := payload crc32(payload, IEEE, 4B LE)    (frame.Seal)
 //
 // bundleBytes is the size of the data file the index was written
 // against: a mismatch on open means the data file changed after the
@@ -72,9 +71,7 @@ func encodeIndex(refs map[string]Ref, bundleBytes, deadBytes int64) []byte {
 		binary.LittleEndian.PutUint32(crcb[:], r.sidecarCRC)
 		buf.Write(crcb[:])
 	}
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crcb[:])
-	return buf.Bytes()
+	return frame.Seal(buf.Bytes())
 }
 
 // decodeIndex parses an index file. All failures wrap ErrCorrupt; the
@@ -86,11 +83,10 @@ func decodeIndex(data []byte) (refs map[string]Ref, bundleBytes, deadBytes int64
 	if len(data) < len(indexMagic)+4 {
 		return nil, 0, 0, fmt.Errorf("%w: index truncated (%d bytes)", ErrCorrupt, len(data))
 	}
-	payload, crcb := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb) {
+	d, ok := frame.Unseal(data)
+	if !ok {
 		return nil, 0, 0, fmt.Errorf("%w: index CRC mismatch", ErrCorrupt)
 	}
-	d := payload
 	if string(d[:len(indexMagic)]) != indexMagic {
 		return nil, 0, 0, fmt.Errorf("%w: bad index magic", ErrCorrupt)
 	}
@@ -159,42 +155,10 @@ func decodeIndex(data []byte) (refs map[string]Ref, bundleBytes, deadBytes int64
 	return refs, int64(bb), int64(db), nil
 }
 
-// writeIndex persists the index atomically: temp file in the same
-// directory, fsync, rename, fsync the directory — the same discipline
-// archives and sidecars use, so a crash leaves the old index or the new
-// one, never a torn file.
+// writeIndex persists the index atomically through frame.Publish, so a
+// crash leaves the old index or the new one, never a torn file.
 func writeIndex(fsys fault.FS, path string, refs map[string]Ref, bundleBytes, deadBytes int64) error {
-	fsys = fault.Get(fsys)
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".bundleidx-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(encodeIndex(refs, bundleBytes, deadBytes)); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if df, err := fsys.Open(dir); err == nil {
-		_ = df.Sync()
-		_ = df.Close()
-	}
-	return nil
+	return frame.Publish(fsys, path, frame.Bytes(encodeIndex(refs, bundleBytes, deadBytes)))
 }
 
 // loadIndex reads and validates the index paired with a bundle of

@@ -10,8 +10,8 @@
 //
 // Durability model:
 //
-//   - A bundle is sealed by fsyncing the data file, then writing the
-//     index via tmp+fsync+rename. Sealed payload bytes are never moved
+//   - A bundle is sealed by fsyncing the data file, then publishing the
+//     index (frame.Publish). Sealed payload bytes are never moved
 //     or rewritten, so concurrent preads need no coordination.
 //   - The only post-seal mutation is appending tombstone needles at the
 //     tail (deletions); each such append fsyncs the data file and then
@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
 // File naming and format constants.
@@ -86,6 +88,7 @@ func (r Ref) size() int64 { return r.PayloadOff - r.NeedleOff + r.ArchiveLen + r
 //	          archiveLen(uvarint) sidecarLen(uvarint)
 //	          archiveCRC(4B LE) sidecarCRC(4B LE)
 //
+// headerLen, headerCRC and header are one frame.AppendRecord record.
 // The payload CRCs live in the (header-CRC-guarded) header, so a reader
 // can verify the archive bytes without touching the sidecar and vice
 // versa. Tombstones carry zero-length payloads.
@@ -108,9 +111,7 @@ func appendNeedle(buf []byte, name string, tomb bool, archive, sidecar []byte) (
 
 	start := len(buf)
 	buf = append(buf, needleMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(header)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(header))
-	buf = append(buf, header...)
+	buf = frame.AppendRecord(buf, header)
 	payloadRel = int64(len(buf) - start)
 	buf = append(buf, archive...)
 	return append(buf, sidecar...), payloadRel
@@ -167,19 +168,8 @@ func readNeedle(br *countingReader) (e scanEntry, ok bool, err error) {
 	if string(magic[:]) != needleMagic {
 		return e, false, nil
 	}
-	headerLen, rerr := binary.ReadUvarint(br)
-	if rerr != nil || headerLen == 0 || headerLen > maxHeaderLen {
-		return e, false, nil
-	}
-	var crcb [4]byte
-	if _, rerr := io.ReadFull(br, crcb[:]); rerr != nil {
-		return e, false, nil
-	}
-	header := make([]byte, headerLen)
-	if _, rerr := io.ReadFull(br, header); rerr != nil {
-		return e, false, nil
-	}
-	if crc32.ChecksumIEEE(header) != binary.LittleEndian.Uint32(crcb[:]) {
+	header, rerr := frame.ReadRecord(br, maxHeaderLen)
+	if rerr != nil {
 		return e, false, nil
 	}
 	name, tomb, aLen, sLen, aCRC, sCRC, herr := parseHeader(header)

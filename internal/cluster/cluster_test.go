@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -693,5 +694,42 @@ func TestClusteredMaxZeroRunsNoFallback(t *testing.T) {
 				t.Errorf("peer query with max -1: status %d, want 400", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestPeerQueryMaxCapped pins that a peer caps the budget a scatter body
+// asks for at the node's max-paths, the same cap GET /query applies: a
+// huge max must render exactly the body served at the cap, not every
+// address of every document.
+func TestPeerQueryMaxCapped(t *testing.T) {
+	nodes := startCluster(t, 2, 2, smallCorpora(t)) // handler cap: 100 paths
+	timing := regexp.MustCompile(`"(prep_ns|eval_ns|wall_ns)":[0-9]+`)
+	post := func(body string) []byte {
+		t.Helper()
+		resp, err := http.Post(nodes[1].url+"/cluster/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /cluster/query %s: %s: %s", body, resp.Status, bytes.TrimSpace(raw))
+		}
+		return timing.ReplaceAll(raw, []byte(`"$1":0`))
+	}
+	capped := post(`{"query":"//*","max":100}`)
+	var fr store.FanoutResponse
+	if err := json.Unmarshal(capped, &fr); err != nil {
+		t.Fatal(err)
+	}
+	truncated := false
+	for _, d := range fr.Docs {
+		truncated = truncated || d.Matches > uint64(len(d.Paths))
+	}
+	if !truncated {
+		t.Fatal("no document has more than 100 matches for //* — the test is vacuous")
+	}
+	if huge := post(`{"query":"//*","max":1000000000}`); !bytes.Equal(huge, capped) {
+		t.Fatalf("max=1e9 served %d bytes, want the %d-byte body served at the cap", len(huge), len(capped))
 	}
 }

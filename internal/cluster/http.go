@@ -138,7 +138,8 @@ func (h *clusterHandler) singleDoc(w http.ResponseWriter, r *http.Request, doc s
 
 // peerQuery is the scatter endpoint peers call: the node answers its
 // whole catalog through store.Do with a per-document budget of the Max
-// sent (0 renders no addresses; a negative Max is a 400). Admission and
+// sent, capped at maxPaths (0 renders no addresses; a negative Max is a
+// 400). Admission and
 // timeout mirror the single-node /query contract, so the router's
 // degradation logic sees the same 429/504 surface.
 func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
@@ -166,6 +167,7 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 		store.WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
+	pq.Max = min(pq.Max, h.maxPaths) // the cap GET /query applies
 
 	ctx := r.Context()
 	if h.n.cfg.QueryTimeout > 0 {

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 )
 
 // pendingLog is the WAL backing the replication queue: an append-only
@@ -22,7 +24,7 @@ import (
 // unverifiable line is discarded, exactly like the ingest WAL's
 // contract). The live state it rebuilds is a set of (doc, peer)
 // transfers still owed; once the done records outnumber the pending
-// set the log is compacted by rewrite (tmp+fsync+rename).
+// set the log is compacted by rewrite (frame.Publish).
 type pendingLog struct {
 	fs   fault.FS
 	path string
@@ -76,7 +78,7 @@ func openPendingLog(fsys fault.FS, dir string) (*pendingLog, error) {
 	if err := l.replay(); err != nil {
 		return nil, err
 	}
-	f, err := fsys.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, _, err := frame.OpenAppend(fsys, l.path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening pending log: %w", err)
 	}
@@ -133,6 +135,16 @@ func parsePendingLine(line []byte) (pendingRecord, bool) {
 	return rec, true
 }
 
+// pendingLine renders one record as a log line: JSON body, a tab, the
+// body's CRC32C in hex, a newline.
+func pendingLine(rec pendingRecord) ([]byte, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(body, "\t%08x\n", crc32.Checksum(body, pendingCRC)), nil
+}
+
 // apply folds one record into the live set.
 func (l *pendingLog) apply(rec pendingRecord) {
 	key := transferKey{doc: rec.Doc, peer: rec.Peer}
@@ -156,12 +168,11 @@ func (l *pendingLog) append(rec pendingRecord) error {
 	if l.f == nil {
 		return fmt.Errorf("cluster: pending log closed")
 	}
-	body, err := json.Marshal(rec)
+	line, err := pendingLine(rec)
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("%s\t%08x\n", body, crc32.Checksum(body, pendingCRC))
-	if _, err := l.f.Write([]byte(line)); err != nil {
+	if _, err := l.f.Write(line); err != nil {
 		return fmt.Errorf("cluster: appending pending log: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -204,17 +215,7 @@ func (l *pendingLog) Done(t transfer) error {
 func (l *pendingLog) Pending() []transfer {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]transfer, 0, len(l.pending))
-	for _, t := range l.pending {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Doc != out[j].Doc {
-			return out[i].Doc < out[j].Doc
-		}
-		return out[i].Peer < out[j].Peer
-	})
-	return out
+	return l.pendingSortedLocked()
 }
 
 // Len returns the owed-transfer count (the replication-lag gauge).
@@ -224,48 +225,32 @@ func (l *pendingLog) Len() int {
 	return len(l.pending)
 }
 
-// compactLocked rewrites the log with only the live pending set, via
-// temp file + fsync + rename. Caller holds l.mu.
+// compactLocked rewrites the log with only the live pending set
+// through frame.Publish. Caller holds l.mu.
 func (l *pendingLog) compactLocked() error {
-	tmp, err := l.fs.CreateTemp(filepath.Dir(l.path), ".pending-*")
+	err := frame.Publish(l.fs, l.path, func(w io.Writer) error {
+		for _, t := range l.pendingSortedLocked() {
+			line, err := pendingLine(pendingRecord{Op: "add", transfer: t})
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		l.fs.Remove(tmpName)
-		return fmt.Errorf("cluster: compacting pending log: %w", err)
-	}
-	for _, t := range l.pendingSortedLocked() {
-		body, err := json.Marshal(pendingRecord{Op: "add", transfer: t})
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := fmt.Fprintf(tmp, "%s\t%08x\n", body, crc32.Checksum(body, pendingCRC)); err != nil {
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		l.fs.Remove(tmpName)
-		return fmt.Errorf("cluster: compacting pending log: %w", err)
-	}
-	if err := l.fs.Rename(tmpName, l.path); err != nil {
-		l.fs.Remove(tmpName)
 		return fmt.Errorf("cluster: compacting pending log: %w", err)
 	}
 	// Reopen the append handle on the fresh file; the old descriptor
 	// points at the unlinked inode.
-	old := l.f
-	f, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, _, err := frame.OpenAppend(l.fs, l.path)
 	if err != nil {
 		return fmt.Errorf("cluster: reopening pending log: %w", err)
 	}
+	l.f.Close()
 	l.f = f
-	old.Close()
 	l.garbage = 0
 	return nil
 }

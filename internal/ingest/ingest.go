@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/container"
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/store"
 	"repro/internal/synopsis"
 )
@@ -466,8 +468,8 @@ func (ing *Ingester) drain() error {
 }
 
 // compactGeneration makes one sealed generation durable: each document is
-// encoded to a temp file, fsynced and atomically renamed to name.xca in
-// the store directory, then swapped into the catalog; tombstones remove
+// encoded and published (frame.Publish) as name.xca in the store
+// directory, then swapped into the catalog; tombstones remove
 // the archive and catalog entry. Runs without the Ingester mutex — writes
 // and queries proceed concurrently.
 func (ing *Ingester) compactGeneration(g *generation) error {
@@ -499,7 +501,10 @@ func (ing *Ingester) compactGeneration(g *generation) error {
 			}
 			continue
 		}
-		if err := ing.retry(func() error { return writeArchive(ing.opts.FS, path, d.archive) }); err != nil {
+		err := ing.retry(func() error {
+			return frame.Publish(ing.opts.FS, path, func(w io.Writer) error { return codec.EncodeArchive(w, d.archive) })
+		})
+		if err != nil {
 			return fmt.Errorf("ingest: compacting %q: %w", name, err)
 		}
 		// Persist the sidecar (bound to the archive's exact size) before
@@ -512,7 +517,7 @@ func (ing *Ingester) compactGeneration(g *generation) error {
 				return fmt.Errorf("ingest: sizing archive of %q: %w", name, err)
 			}
 			err = ing.retry(func() error {
-				return synopsis.WriteSidecarFS(ing.opts.FS, synopsis.SidecarPath(path), d.syn, idx.Dict(), fi.Size())
+				return synopsis.WriteSidecar(ing.opts.FS, synopsis.SidecarPath(path), d.syn, idx.Dict(), fi.Size())
 			})
 			if err != nil {
 				return fmt.Errorf("ingest: writing sidecar of %q: %w", name, err)
@@ -528,36 +533,9 @@ func (ing *Ingester) compactGeneration(g *generation) error {
 			ing.opts.Published(name, false)
 		}
 	}
-	return syncDir(ing.opts.FS, dir)
-}
-
-// writeArchive encodes a to path via a temp file + fsync + rename, so a
-// crash leaves either the old file or the new one, never a torn archive.
-func writeArchive(fsys fault.FS, path string, a *container.Archive) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".compact-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if err := codec.EncodeArchive(tmp, a); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	return nil
+	// Every publish above fsynced the directory; this one makes the
+	// tombstones' unlinks durable too.
+	return frame.SyncDir(ing.opts.FS, dir)
 }
 
 // Flush synchronously seals the active generation and compacts every

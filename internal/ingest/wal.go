@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -31,6 +30,7 @@ import (
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 )
 
 // Op is a WAL record type.
@@ -50,7 +50,7 @@ type Record struct {
 	Data []byte
 }
 
-// On-disk framing of one record:
+// On-disk framing of one record (frame.AppendRecord):
 //
 //	record := bodyLen(uvarint) crc32(4B LE, IEEE, over body) body
 //	body   := op(1B) nameLen(uvarint) name data
@@ -74,37 +74,17 @@ func appendRecord(buf []byte, rec Record) []byte {
 	body = binary.AppendUvarint(body, uint64(len(rec.Name)))
 	body = append(body, rec.Name...)
 	body = append(body, rec.Data...)
-
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(buf, body...)
+	return frame.AppendRecord(buf, body)
 }
 
 // readRecord reads one framed record. io.EOF at a record boundary means a
 // clean end; any mid-frame failure returns errTorn.
 func readRecord(r *bufio.Reader) (Record, error) {
-	bodyLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, errTorn
+	body, err := frame.ReadRecord(r, maxRecordBytes)
+	if err == io.EOF {
+		return Record{}, io.EOF
 	}
-	if bodyLen > maxRecordBytes {
-		return Record{}, errTorn
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return Record{}, errTorn
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Record{}, errTorn
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return Record{}, errTorn
-	}
-	if len(body) < 1 {
+	if err != nil || len(body) < 1 {
 		return Record{}, errTorn
 	}
 	rec := Record{Op: Op(body[0])}
@@ -286,42 +266,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func (l *Log) openSegment(idx uint64) error {
-	path := filepath.Join(l.dir, segName(idx))
-	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, size, err := frame.OpenAppend(l.fs, filepath.Join(l.dir, segName(idx)))
 	if err != nil {
 		return fmt.Errorf("ingest: opening WAL segment: %w", err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("ingest: %w", err)
-	}
-	// Make the new directory entry itself durable: without this, a
-	// power cut can drop the whole segment file — and every fsynced
-	// record in it — no matter how diligently Append syncs the file.
-	if fi.Size() == 0 {
-		if err := syncDir(l.fs, l.dir); err != nil {
-			f.Close()
-			return fmt.Errorf("ingest: syncing WAL dir: %w", err)
-		}
-	}
-	l.f, l.cur, l.curSize = f, idx, fi.Size()
+	l.f, l.cur, l.curSize = f, idx, size
 	if n := len(l.segs); n == 0 || l.segs[n-1] != idx {
 		l.segs = append(l.segs, idx)
 	}
-	l.sizes[idx] = fi.Size()
+	l.sizes[idx] = size
 	return nil
-}
-
-// syncDir fsyncs a directory so entries created or renamed into it are
-// durable. Shared with the compactor's archive publish step.
-func syncDir(fsys fault.FS, dir string) error {
-	f, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // Append frames rec, writes it to the current segment and (under

@@ -5,13 +5,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/frame"
 	"repro/internal/synopsis"
 )
 
 // ReplicaPayload reads the durable bytes of a catalogued document for
 // replication to a peer: the encoded archive and, when one exists, its
-// .xcs sidecar — the exact bytes a peer can verify by CRC, persist
-// tmp+rename and serve, whichever tier they come from. Loose documents
+// .xcs sidecar — the exact bytes a peer can verify by CRC, publish
+// (frame.Publish) and serve, whichever tier they come from. Loose documents
 // read the archive file and sidecar file; bundled documents read the
 // needle's archive and sidecar sections (replication un-bundles: the
 // receiving peer lands the copy as a loose archive and re-packs on its
@@ -50,8 +51,8 @@ func (s *Store) ReplicaPayload(name string) (archive, sidecar []byte, err error)
 }
 
 // AcceptReplica lands a replica payload shipped by a peer: the archive
-// bytes are written tmp+fsync+rename as a loose .xca, the sidecar (when
-// sent and decodable against this store's dictionary) is persisted next
+// bytes are published (frame.Publish) as a loose .xca, the sidecar (when
+// sent and decodable against this store's dictionary) is published next
 // to it, and the document is swapped into the catalog exactly like a
 // compaction publish. The synopsis comes from the shipped sidecar when
 // its pairing matches, else it is rebuilt from the archive — a replica
@@ -64,7 +65,7 @@ func (s *Store) AcceptReplica(name string, archive, sidecar []byte) error {
 		return err
 	}
 	path := s.archivePath(name)
-	if err := writeDurable(s, path, archive); err != nil {
+	if err := frame.Publish(s.fs, path, frame.Bytes(archive)); err != nil {
 		return fmt.Errorf("store: landing replica %q: %w", name, err)
 	}
 	var syn *synopsis.Synopsis
@@ -73,7 +74,7 @@ func (s *Store) AcceptReplica(name string, archive, sidecar []byte) error {
 		if len(sidecar) > 0 {
 			if got, archiveBytes, err := synopsis.DecodeSidecar(sidecar, dict); err == nil && archiveBytes == int64(len(archive)) {
 				syn = got
-				if err := s.fs.WriteFile(synopsis.SidecarPath(path), sidecar, 0o644); err != nil {
+				if err := frame.Publish(s.fs, synopsis.SidecarPath(path), frame.Bytes(sidecar)); err != nil {
 					s.m.synWriteErrs.Inc()
 				}
 			}
@@ -105,34 +106,4 @@ func (s *Store) AcceptReplica(name string, archive, sidecar []byte) error {
 // archivePath is where name's loose archive lives under the store.
 func (s *Store) archivePath(name string) string {
 	return filepath.Join(s.dir, name+Ext)
-}
-
-// writeDurable writes data to path via temp file + fsync + rename, the
-// store's publish discipline: a crash leaves the old file or the new
-// one, never a torn archive.
-func writeDurable(s *Store, path string, data []byte) error {
-	tmp, err := s.fs.CreateTemp(s.dir, ".replica-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(tmpName)
-		return err
-	}
-	if err := s.fs.Rename(tmpName, path); err != nil {
-		s.fs.Remove(tmpName)
-		return err
-	}
-	return nil
 }

@@ -484,7 +484,7 @@ func buildSidecar(fsys fault.FS, path string, fileBytes int64, dict *synopsis.Di
 		return nil, err
 	}
 	syn := synopsis.Build(skel, dict, synopsis.Options{})
-	if err := synopsis.WriteSidecarFS(fsys, synopsis.SidecarPath(path), syn, dict, fileBytes); err != nil {
+	if err := synopsis.WriteSidecar(fsys, synopsis.SidecarPath(path), syn, dict, fileBytes); err != nil {
 		return syn, err
 	}
 	return syn, nil

@@ -31,7 +31,7 @@ func TestSidecarBytesGolden(t *testing.T) {
 	dict := NewDict()
 	s := buildFrom(t, goldenSidecarDoc, dict, Options{})
 	path := filepath.Join(t.TempDir(), "golden"+Ext)
-	if err := WriteSidecarFS(fault.OS, path, s, dict, goldenSidecarArchiveBytes); err != nil {
+	if err := WriteSidecar(fault.OS, path, s, dict, goldenSidecarArchiveBytes); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

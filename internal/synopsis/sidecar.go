@@ -5,13 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/label"
 )
 
@@ -26,7 +25,7 @@ const Ext = ".xcs"
 //	           nLabels (label string count)*      tag-label set + tree counts
 //	           nNodes node(root)                  path trie, preorder
 //	node    := flags(bit0 deeper) count nChildren (labelIndex node)*
-//	file    := payload crc32(payload)             IEEE, little-endian
+//	file    := payload crc32(payload)             IEEE, little-endian (frame.Seal)
 //
 // Version 2 added the estimator statistics (treeSize, per-label counts,
 // per-node counts, the saturated flag); version-1 sidecars decode as
@@ -129,11 +128,7 @@ func EncodeSidecar(w io.Writer, s *Synopsis, dict *Dict, archiveBytes int64) err
 	}
 	write(0)
 
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc)
-	buf.Write(crcb[:])
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(frame.Seal(buf.Bytes()))
 	return err
 }
 
@@ -147,8 +142,8 @@ func DecodeSidecar(data []byte, dict *Dict) (*Synopsis, int64, error) {
 	if len(data) < len(sidecarMagic)+4 {
 		return nil, 0, fmt.Errorf("%w: truncated (%d bytes)", ErrCorrupt, len(data))
 	}
-	payload, crcb := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb) {
+	payload, ok := frame.Unseal(data)
+	if !ok {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	d := &sidecarReader{data: payload}
@@ -281,47 +276,12 @@ func (r *sidecarReader) uvarint() uint64 {
 	return v
 }
 
-// WriteSidecar persists s at path atomically: encode into a temp file in
-// the same directory, fsync, rename, fsync the directory — the same
-// discipline the compactor uses for archives, so a crash leaves either
-// the old sidecar or the new one, never a torn file.
-func WriteSidecar(path string, s *Synopsis, dict *Dict, archiveBytes int64) error {
-	return WriteSidecarFS(fault.OS, path, s, dict, archiveBytes)
-}
-
-// WriteSidecarFS is WriteSidecar over an injectable filesystem.
-func WriteSidecarFS(fsys fault.FS, path string, s *Synopsis, dict *Dict, archiveBytes int64) error {
-	fsys = fault.Get(fsys)
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".synopsis-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := EncodeSidecar(tmp, s, dict, archiveBytes); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return err
-	}
-	if df, err := fsys.Open(dir); err == nil {
-		_ = df.Sync()
-		_ = df.Close()
-	}
-	return nil
+// WriteSidecar persists s at path atomically through frame.Publish, so a
+// crash leaves either the old sidecar or the new one, never a torn file.
+func WriteSidecar(fsys fault.FS, path string, s *Synopsis, dict *Dict, archiveBytes int64) error {
+	return frame.Publish(fsys, path, func(w io.Writer) error {
+		return EncodeSidecar(w, s, dict, archiveBytes)
+	})
 }
 
 // LoadSidecar reads and decodes the sidecar at path, interning its

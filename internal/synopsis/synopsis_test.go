@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/fault"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
 )
@@ -239,7 +240,7 @@ func TestSidecarWriteLoad(t *testing.T) {
 	dict := NewDict()
 	s := buildFrom(t, `<a><b/></a>`, dict, Options{})
 	path := t.TempDir() + "/doc.xcs"
-	if err := WriteSidecar(path, s, dict, 99); err != nil {
+	if err := WriteSidecar(fault.OS, path, s, dict, 99); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSidecar(path, NewDict(), 99)
