@@ -35,9 +35,10 @@ import (
 // Publish writes path atomically through write: a temp file in path's
 // directory receives the bytes, is fsynced, closed and renamed over
 // path, and the directory is fsynced so the new entry is durable. On
-// any failure the temp file is removed and the error returned; path is
-// then untouched, except that a failed directory fsync leaves the
-// renamed file in place without the durability guarantee.
+// any failure the temp file is removed and every error met is returned
+// (joined); path is then untouched, except that a failed directory
+// fsync leaves the renamed file in place without the durability
+// guarantee.
 func Publish(fsys fault.FS, path string, write func(io.Writer) error) error {
 	fsys = fault.Get(fsys)
 	dir := filepath.Dir(path)
@@ -49,15 +50,12 @@ func Publish(fsys fault.FS, path string, write func(io.Writer) error) error {
 	if err == nil {
 		err = tmp.Sync()
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err = errors.Join(err, tmp.Close())
 	if err == nil {
 		err = fsys.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		fsys.Remove(tmp.Name())
-		return err
+		return errors.Join(err, fsys.Remove(tmp.Name()))
 	}
 	return SyncDir(fsys, dir)
 }
@@ -77,11 +75,7 @@ func SyncDir(fsys fault.FS, dir string) error {
 	if err != nil {
 		return err
 	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(f.Sync(), f.Close())
 }
 
 // OpenAppend opens (creating if needed) the append-only file at path

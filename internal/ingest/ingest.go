@@ -502,7 +502,9 @@ func (ing *Ingester) compactGeneration(g *generation) error {
 			continue
 		}
 		err := ing.retry(func() error {
-			return frame.Publish(ing.opts.FS, path, func(w io.Writer) error { return codec.EncodeArchive(w, d.archive) })
+			return frame.Publish(ing.opts.FS, path, func(w io.Writer) error {
+				return codec.EncodeArchive(w, d.archive)
+			})
 		})
 		if err != nil {
 			return fmt.Errorf("ingest: compacting %q: %w", name, err)
