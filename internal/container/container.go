@@ -8,10 +8,15 @@
 // traversal of the DAG replays each container's chunks in document order —
 // exactly how XMILL decompression works.
 //
-// Containers are keyed by the root-to-node tag path (XMILL's grouping
-// heuristic), which clusters values of the same kind; all text occurrences
-// on the same path share a single skeleton vertex, so text positions cost
-// almost nothing in skeleton size.
+// Containers are keyed by the enclosing tag, XMILL's default grouping:
+// the text of every <name> element goes to container "/name", and the
+// values of its attribute x to "/name/@x". Values of the same kind share
+// a container wherever they occur, and all text occurrences under the
+// same tag share a single skeleton vertex, so text positions cost almost
+// nothing in skeleton size and the schema grows with the vocabulary, not
+// with the number of distinct paths. Archives written when containers
+// were keyed by the root-to-node path still decode: a leaf names its own
+// container in its label.
 package container
 
 import (
@@ -38,9 +43,11 @@ const (
 // text/attribute containers.
 type Archive struct {
 	// Skeleton is the compressed instance. Element vertices carry
-	// "tag:<name>"; text occurrences are leaves labelled
-	// "text:<path>"; attributes are leaves labelled "attr:<name>" and
-	// "text:<path>/@<name>" for their value container.
+	// "tag:<name>"; text occurrences are leaves labelled "text:/<tag>"
+	// after their enclosing element's container; attributes are leaves
+	// labelled "attr:<name>" and "text:/<tag>/@<name>" for their value
+	// container. A leaf's "text:" suffix names its container, whatever
+	// key layout wrote it.
 	Skeleton *dag.Instance
 	// Store holds the extracted strings.
 	Store *Store
@@ -147,7 +154,7 @@ func Split(doc []byte) (*Archive, error) {
 	}
 	h.schema = h.builder.Schema()
 	// Virtual document frame (matching package skeleton's model).
-	h.stack = append(h.stack, splitFrame{path: ""})
+	h.stack = append(h.stack, splitFrame{})
 	if err := saxml.Parse(doc, h); err != nil {
 		return nil, err
 	}
@@ -157,8 +164,7 @@ func Split(doc []byte) (*Archive, error) {
 }
 
 type splitFrame struct {
-	tag      string
-	path     string
+	tag      string // "" for the document frame
 	children []dag.VertexID
 }
 
@@ -170,13 +176,11 @@ type splitHandler struct {
 }
 
 func (h *splitHandler) StartElement(name string, attrs []saxml.Attr) error {
-	parent := &h.stack[len(h.stack)-1]
-	path := parent.path + "/" + name
-	f := splitFrame{tag: name, path: path}
+	f := splitFrame{tag: name}
 	// Attributes become leading leaf children in document order, with
 	// values extracted to per-attribute containers.
 	for _, a := range attrs {
-		key := path + "/@" + a.Name
+		key := "/" + name + "/@" + a.Name
 		var ls label.Set
 		ls = ls.Set(h.schema.Intern(attrPrefix + a.Name))
 		ls = ls.Set(h.schema.Intern(textPrefix + key))
@@ -200,14 +204,15 @@ func (h *splitHandler) EndElement(string) error {
 
 func (h *splitHandler) Text(data []byte) error {
 	top := &h.stack[len(h.stack)-1]
-	if top.path == "" {
+	if top.tag == "" {
 		// Whitespace outside the root: dropped (not part of content).
 		return nil
 	}
+	key := "/" + top.tag
 	var ls label.Set
-	ls = ls.Set(h.schema.Intern(textPrefix + top.path))
+	ls = ls.Set(h.schema.Intern(textPrefix + key))
 	top.children = append(top.children, h.builder.Add(ls, nil))
-	h.store.Append(top.path, string(data))
+	h.store.Append(key, string(data))
 	return nil
 }
 

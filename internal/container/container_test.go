@@ -109,7 +109,7 @@ func TestRoundTripSharedStructureDifferentText(t *testing.T) {
 	if got := a.Skeleton.NumVertices(); got != 5 {
 		t.Fatalf("skeleton vertices = %d, want 5 (structure fully shared)\n%s", got, a.Skeleton)
 	}
-	if got := a.Store.Chunks("/r/e/v"); len(got) != 3 || got[0] != "one" || got[2] != "three" {
+	if got := a.Store.Chunks("/v"); len(got) != 3 || got[0] != "one" || got[2] != "three" {
 		t.Fatalf("container = %v", got)
 	}
 	out := roundTrip(t, doc)
@@ -118,19 +118,20 @@ func TestRoundTripSharedStructureDifferentText(t *testing.T) {
 	}
 }
 
-func TestContainersGroupByPath(t *testing.T) {
+func TestContainersGroupByTag(t *testing.T) {
+	// <a> at /r/a and at /r/b/a: one container, values in document order.
 	doc := []byte(`<r><a>x</a><b><a>y</a></b></r>`)
 	a, err := container.Split(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Store.Chunks("/r/a"); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("/r/a = %v", got)
+	if got := a.Store.Chunks("/a"); len(got) != 2 || got[0] != "x" || got[1] != "y" {
+		t.Fatalf("/a = %v", got)
 	}
-	if got := a.Store.Chunks("/r/b/a"); len(got) != 1 || got[0] != "y" {
-		t.Fatalf("/r/b/a = %v", got)
+	if got := a.Store.Chunks("/r/b/a"); got != nil {
+		t.Fatalf("/r/b/a = %v, want no path-keyed container", got)
 	}
-	if a.Store.NumContainers() != 2 {
+	if a.Store.NumContainers() != 1 {
 		t.Fatalf("containers = %d (%v)", a.Store.NumContainers(), a.Store.Keys())
 	}
 }
@@ -141,7 +142,7 @@ func TestAttributesBecomeContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Store.Chunks("/r/e/@k"); len(got) != 2 || got[0] != "1" || got[1] != "2" {
+	if got := a.Store.Chunks("/e/@k"); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Fatalf("@k container = %v", got)
 	}
 	out := roundTrip(t, doc)

@@ -28,6 +28,7 @@ type File interface {
 	io.Closer
 	Name() string
 	Stat() (os.FileInfo, error)
+	Chmod(mode os.FileMode) error
 	Sync() error
 	Truncate(size int64) error
 }

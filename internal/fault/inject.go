@@ -343,4 +343,6 @@ func (f *faultFile) Name() string { return f.inner.Name() }
 
 func (f *faultFile) Stat() (os.FileInfo, error) { return f.inner.Stat() }
 
+func (f *faultFile) Chmod(mode os.FileMode) error { return f.inner.Chmod(mode) }
+
 func (f *faultFile) Truncate(size int64) error { return f.inner.Truncate(size) }

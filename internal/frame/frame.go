@@ -46,7 +46,12 @@ func Publish(fsys fault.FS, path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	err = write(tmp)
+	// CreateTemp makes the file 0600; published files are read by the
+	// same tools as OpenAppend's and xcarchive's, so they get 0644 too.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		err = write(tmp)
+	}
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -122,7 +127,9 @@ type Reader interface {
 // ReadRecord reads one record AppendRecord framed and returns its body.
 // io.EOF means the stream ended cleanly at a record boundary; a body
 // longer than max is refused before anything is allocated for it. Any
-// other failure is ErrTorn.
+// other failure is ErrTorn. The body grows as its bytes arrive, so a
+// torn tail whose length field is garbage costs an allocation in
+// proportion to the bytes actually there, not to the length it declares.
 func ReadRecord(r Reader, max uint64) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -138,14 +145,35 @@ func ReadRecord(r Reader, max uint64) ([]byte, error) {
 	if _, err := io.ReadFull(r, crcb[:]); err != nil {
 		return nil, ErrTorn
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, n)
+	if err != nil {
 		return nil, ErrTorn
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcb[:]) {
 		return nil, ErrTorn
 	}
 	return body, nil
+}
+
+// bodyChunk is the most ReadRecord allocates for a body before any of
+// it has been read.
+const bodyChunk = 64 << 10
+
+// readBody reads exactly n bytes, doubling its buffer as bytes arrive
+// rather than trusting n up front.
+func readBody(r io.Reader, n uint64) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, body[read:]); err != nil {
+			return nil, err
+		}
+		read = len(body)
+		if uint64(read) == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-uint64(read), uint64(read)))...)
+	}
 }
 
 // Seal appends payload's crc32 (IEEE, 4B LE) to it: the trailer of a

@@ -117,6 +117,49 @@ func TestOpenAppend(t *testing.T) {
 	}
 }
 
+// TestPublishMode checks that a published file gets the same permission
+// bits as an appended one created in the same directory.
+func TestPublishMode(t *testing.T) {
+	dir := t.TempDir()
+	pub, app := filepath.Join(dir, "doc.xca"), filepath.Join(dir, "wal.seg")
+	if err := Publish(fault.OS, pub, Bytes([]byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := OpenAppend(fault.OS, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	modes := make([]os.FileMode, 2)
+	for i, path := range []string{pub, app} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes[i] = fi.Mode().Perm()
+	}
+	if modes[0] != modes[1] {
+		t.Fatalf("published file is %v, appended file %v", modes[0], modes[1])
+	}
+}
+
+// TestReadRecordGrowsBody round-trips bodies around and past the first
+// allocation, which ReadRecord doubles as bytes arrive.
+func TestReadRecordGrowsBody(t *testing.T) {
+	for _, n := range []int{bodyChunk - 1, bodyChunk, bodyChunk + 1, 3*bodyChunk + 5} {
+		body := bytes.Repeat([]byte{0xA5}, n)
+		body[n-1] = 0x5A
+		buf := AppendRecord(nil, body)
+		got, err := ReadRecord(bufio.NewReader(bytes.NewReader(buf)), 1<<20)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%d-byte body: %d bytes back, %v", n, len(got), err)
+		}
+		if _, err := ReadRecord(bufio.NewReader(bytes.NewReader(buf[:len(buf)-1])), 1<<20); err != ErrTorn {
+			t.Fatalf("%d-byte body torn by one byte: err = %v, want ErrTorn", n, err)
+		}
+	}
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	bodies := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte{0xCD}, 300)}
 	var buf []byte

@@ -3,10 +3,12 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -168,6 +170,37 @@ func TestTornTailTruncated(t *testing.T) {
 	defer l3.Close()
 	if len(got3) != len(want) || got3[len(got3)-1].Name != "after" {
 		t.Fatalf("after torn-tail recovery + append, replay got %+v", got3)
+	}
+}
+
+// TestTornLengthBoundsAllocation opens a WAL whose only segment is a
+// 9-byte tear: a length field declaring a 64 MiB record, its CRC and one
+// body byte. Replay must allocate in proportion to the bytes there, not
+// the length declared, and truncate the tear.
+func TestTornLengthBoundsAllocation(t *testing.T) {
+	dir := t.TempDir()
+	tail := binary.AppendUvarint(nil, 64<<20)
+	tail = append(tail, 0, 0, 0, 0, 'x')
+	if len(tail) != 9 {
+		t.Fatalf("tail is %d bytes", len(tail))
+	}
+	seg := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(seg, tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, got := replayAll(t, dir, LogOptions{})
+	runtime.ReadMemStats(&after)
+	defer l.Close()
+	if len(got) != 0 {
+		t.Fatalf("replayed %d records from a torn tail", len(got))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("OpenLog allocated %d bytes for a 9-byte segment", alloc)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != 0 {
+		t.Fatalf("torn segment not truncated: %v, %v", fi, err)
 	}
 }
 

@@ -142,3 +142,32 @@ func doBody(t *testing.T, s *store.Store, req store.Request) (string, uint64) {
 	}
 	return string(timingField.ReplaceAll(rec.Body.Bytes(), []byte(`"$1":0`))), matches
 }
+
+// TestPathKeyedDocChargesLabelWords checks the cache's charge for a
+// wide-schema archive: every archive vertex holds a label bitset as wide
+// as the schema, and the document must be charged at least those words
+// and its value bytes.
+func TestPathKeyedDocChargesLabelWords(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(pathKeyedDir, "TreeBank"+store.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := codec.DecodeArchiveBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words int64
+	for _, v := range a.Skeleton.Verts {
+		words += int64(len(v.Labels))
+	}
+	if words <= int64(a.Skeleton.NumVertices()) {
+		t.Fatalf("golden schema of %d names fits one label word", a.Skeleton.Schema.Len())
+	}
+	d, err := store.NewDoc("TreeBank", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := 8*words + int64(a.Store.TotalBytes()); d.MemBytes() < floor {
+		t.Fatalf("MemBytes = %d, below %d label words plus %d value bytes", d.MemBytes(), words, a.Store.TotalBytes())
+	}
+}

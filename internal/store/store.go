@@ -913,13 +913,22 @@ func NewDoc(name string, a *container.Archive) (*Doc, error) {
 // is a sizing knob, not an allocator: estimates only need to scale with
 // the real footprint.
 const (
-	vertexOverhead = 56 // Vertex struct, slice headers, label set
+	vertexOverhead = 56 // Vertex struct, slice headers, one-word label set
+	labelWordBytes = 8  // each further word of a vertex's label set
 	edgeBytes      = 8  // dag.Edge
 	stringOverhead = 16 // string header
 )
 
+// instanceMemBytes charges each vertex its overhead plus the label-set
+// words past the first: a label set is a bitset as wide as the schema,
+// so on a wide schema those words outweigh everything else.
 func instanceMemBytes(in *dag.Instance) int64 {
 	b := int64(in.NumVertices())*vertexOverhead + int64(in.NumEdges())*edgeBytes
+	for i := range in.Verts {
+		if n := len(in.Verts[i].Labels); n > 1 {
+			b += int64(n-1) * labelWordBytes
+		}
+	}
 	for _, name := range in.Schema.Names() {
 		b += int64(len(name)) + stringOverhead
 	}
