@@ -499,9 +499,12 @@ func DecodeSkeletonBytes(data []byte) (*dag.Instance, error) {
 
 // ContainerStat describes one value container of an archive.
 type ContainerStat struct {
-	Key    string // container name (root-to-node tag path)
-	Chunks int    // number of stored values
-	Bytes  int64  // summed value length
+	// Key names the container by its enclosing tag: "/<tag>" for text,
+	// "/<tag>/@<attr>" for attribute values. Archives written before
+	// containers were keyed by tag carry the whole root-to-node path.
+	Key    string
+	Chunks int   // number of stored values
+	Bytes  int64 // summed value length
 }
 
 // ArchiveStat summarises an encoded archive.

@@ -39,13 +39,11 @@ var libraryQueries = []string{
 // pathKeyedSources are the documents the golden archives were split
 // from.
 func pathKeyedSources() map[string][]byte {
-	docs := map[string][]byte{"Library": []byte(libraryDoc)}
-	for _, c := range corpus.Catalog() {
-		if c.Name == "TreeBank" || c.Name == "SwissProt" {
-			docs[c.Name] = c.Generate(8, 7)
-		}
+	return map[string][]byte{
+		"Library":   []byte(libraryDoc),
+		"TreeBank":  corpus.TreeBank(8, 7),
+		"SwissProt": corpus.SwissProt(8, 7),
 	}
-	return docs
 }
 
 func reconstruct(t *testing.T, a *container.Archive) []byte {
