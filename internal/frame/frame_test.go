@@ -143,49 +143,36 @@ func TestPublishMode(t *testing.T) {
 	}
 }
 
-// TestReadRecordGrowsBody round-trips bodies around and past the first
-// allocation, which ReadRecord doubles as bytes arrive.
-func TestReadRecordGrowsBody(t *testing.T) {
-	for _, n := range []int{bodyChunk - 1, bodyChunk, bodyChunk + 1, 3*bodyChunk + 5} {
-		body := bytes.Repeat([]byte{0xA5}, n)
-		body[n-1] = 0x5A
-		buf := AppendRecord(nil, body)
-		got, err := ReadRecord(bufio.NewReader(bytes.NewReader(buf)), 1<<20)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("%d-byte body: %d bytes back, %v", n, len(got), err)
-		}
-		if _, err := ReadRecord(bufio.NewReader(bytes.NewReader(buf[:len(buf)-1])), 1<<20); err != ErrTorn {
-			t.Fatalf("%d-byte body torn by one byte: err = %v, want ErrTorn", n, err)
-		}
-	}
-}
-
 func TestRecordRoundTrip(t *testing.T) {
-	bodies := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte{0xCD}, 300)}
+	// Bodies around and past bodyChunk take ReadRecord's growth path.
+	bodies := [][]byte{[]byte("a"), {}, bytes.Repeat([]byte{0xCD}, 300),
+		bytes.Repeat([]byte{0xA5}, bodyChunk), bytes.Repeat([]byte{0x5A}, 3*bodyChunk+5)}
 	var buf []byte
 	for _, b := range bodies {
 		buf = AppendRecord(buf, b)
 	}
 	r := bufio.NewReader(bytes.NewReader(buf))
 	for i, want := range bodies {
-		got, err := ReadRecord(r, 1<<10)
+		got, err := ReadRecord(r, 1<<20)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("record %d: %x, %v; want %x", i, got, err, want)
+			t.Fatalf("record %d: %d bytes, %v; want %d bytes", i, len(got), err, len(want))
 		}
 	}
-	if _, err := ReadRecord(r, 1<<10); err != io.EOF {
+	if _, err := ReadRecord(r, 1<<20); err != io.EOF {
 		t.Fatalf("after the last record: %v, want io.EOF", err)
 	}
 
 	one := AppendRecord(nil, []byte("payload"))
+	big := AppendRecord(nil, bodies[len(bodies)-1])
 	for name, data := range map[string][]byte{
 		"torn":      one[:len(one)-1],
+		"torn big":  big[:len(big)-1],
 		"flipped":   append(append([]byte{}, one[:len(one)-1]...), one[len(one)-1]^1),
 		"over max":  one,
 		"bare len":  one[:1],
 		"empty crc": one[:3],
 	} {
-		max := uint64(1 << 10)
+		max := uint64(1 << 20)
 		if name == "over max" {
 			max = 6
 		}
