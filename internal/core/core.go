@@ -115,11 +115,10 @@ type Result struct {
 // evaluation having run: what a fan-out reports for a document the
 // path-synopsis index proved cannot match. The instance-size and timing
 // fields stay zero (the document was never touched); Paths and Instance
-// behave like any other empty result.
-func EmptyResult() *Result {
-	in := dag.New()
-	return &Result{inst: in, lbl: in.Schema.Intern("result:pruned")}
-}
+// behave like any other empty result. Every call returns the same
+// shared result, so a fan-out pays nothing per pruned document: callers
+// must not modify it.
+func EmptyResult() *Result { return emptyResult }
 
 // DirectResult returns a count-shape result answered from synopsis
 // statistics: SelectedTree is the exact tree-level match count and no
@@ -141,16 +140,36 @@ func DirectResult(count uint64, fallback func() (*Result, error)) *Result {
 // statistics: the root node when the document satisfies the chain (what
 // evaluating /self::*[chain] selects — SelectedTree 1, path ""), or a
 // selection of nothing. Both forms carry a tiny standalone instance, so
-// no consumer can ever force a decode.
+// no consumer can ever force a decode. Like EmptyResult, each form is
+// one shared result: callers must not modify it.
 func ExistsResult(exists bool) *Result {
-	in := dag.New()
-	lbl := in.Schema.Intern("result:direct")
-	if !exists {
-		return &Result{direct: true, inst: in, lbl: lbl}
+	if exists {
+		return existsTrue
 	}
-	in.Verts = append(in.Verts, dag.Vertex{Labels: label.Set(nil).Set(lbl)})
-	in.Root = 0
-	return &Result{SelectedTree: 1, SelectedDAG: 1, direct: true, inst: in, lbl: lbl}
+	return existsFalse
+}
+
+// The fixed results EmptyResult and ExistsResult hand out, built once.
+// Their instances are read-only like every result instance, and they
+// carry neither a view nor a fallback, so nothing ever writes to them.
+var (
+	emptyResult = fixedResult("result:pruned", false, false)
+	existsFalse = fixedResult("result:direct", true, false)
+	existsTrue  = fixedResult("result:direct", true, true)
+)
+
+// fixedResult builds a standalone result over a new instance whose
+// selection, named name, is the lone root when selected and nothing
+// otherwise.
+func fixedResult(name string, direct, selected bool) *Result {
+	in := dag.New()
+	r := &Result{direct: direct, inst: in, lbl: in.Schema.Intern(name)}
+	if selected {
+		in.Verts = append(in.Verts, dag.Vertex{Labels: label.Set(nil).Set(r.lbl)})
+		in.Root = 0
+		r.SelectedTree, r.SelectedDAG = 1, 1
+	}
+	return r
 }
 
 // Direct reports whether the result was answered from synopsis

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForEach runs fn(i) for i in [0, n) on a bounded pool of worker
@@ -20,6 +21,10 @@ func ForEach(n, workers int, fn func(int)) {
 // fn is never interrupted mid-call) and the context's error is
 // returned. Indices that were never dispatched are simply skipped;
 // callers that need per-index disposition should check ctx in fn.
+//
+// Dispatch needs no channel: each worker, the calling goroutine among
+// them, checks ctx and then claims the next index from one shared
+// atomic counter, so handing out an index costs one atomic add.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -28,35 +33,30 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(int)) error {
 		workers = n
 	}
 	done := ctx.Done()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	var next atomic.Int64
+	work := func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			fn(i)
+			i := next.Add(1) - 1
+			if i >= int64(n) {
+				return
+			}
+			fn(int(i))
 		}
-		return nil
 	}
-	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break dispatch
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return ctx.Err()
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -184,13 +185,14 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, h.opts.QueryTimeout)
 		defer cancel()
 	}
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		WriteError(w, http.StatusBadRequest, errors.New("missing q parameter"))
 		return
 	}
 	max := h.opts.MaxPaths
-	if m := r.URL.Query().Get("max"); m != "" {
+	if m := params.Get("max"); m != "" {
 		n, err := strconv.Atoi(m)
 		if err != nil || n < 0 {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad max parameter %q", m))
@@ -201,8 +203,8 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	name := r.URL.Query().Get("doc")
-	resp, err := h.store.Do(ctx, Request{Query: q, Doc: name, Max: max, Trace: r.URL.Query().Get("trace") == "1"})
+	name := params.Get("doc")
+	resp, err := h.store.Do(ctx, Request{Query: q, Doc: name, Max: max, Trace: params.Get("trace") == "1"})
 	if err != nil {
 		status, ok := h.ctxStatus(err)
 		if !ok {
@@ -476,12 +478,35 @@ func statusFor(s *Store, name string) int {
 	return http.StatusNotFound
 }
 
+// jsonAppender is a response that encodes itself (FanoutResponse).
+type jsonAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+// bodyPool recycles the buffers WriteJSON encodes appender bodies into.
+// Each starts empty and grows to the bodies it carries; one grown past
+// maxPooledBody is left to the collector rather than pinned.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
 // WriteJSON writes v as the JSON response body with the given status,
-// leaving HTML characters unescaped so query texts read as sent.
+// leaving HTML characters unescaped so query texts read as sent. A
+// value with an AppendJSON method encodes itself into a pooled buffer,
+// sent with one Write; anything else goes through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if status != http.StatusOK {
 		w.WriteHeader(status)
+	}
+	if a, ok := v.(jsonAppender); ok {
+		bp := bodyPool.Get().(*[]byte)
+		*bp = a.AppendJSON((*bp)[:0])
+		_, _ = w.Write(*bp)
+		if cap(*bp) <= maxPooledBody {
+			bodyPool.Put(bp)
+		}
+		return
 	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

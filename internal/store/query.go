@@ -346,7 +346,7 @@ func (s *Store) queryAll(ctx context.Context, tr *obs.Trace, query string) ([]co
 // address budget is shared — documents early in catalog order consume
 // it first — unless req.PerDoc gives each document all of req.Max.
 func (s *Store) renderFanout(req Request, results []core.BatchResult) *FanoutResponse {
-	resp := &FanoutResponse{Query: req.Query, Docs: []QueryResponse{}, Workers: s.Workers()}
+	resp := &FanoutResponse{Query: req.Query, Docs: make([]QueryResponse, 0, len(results)), Workers: s.Workers()}
 	remaining := req.Max
 	for _, br := range results {
 		if br.Err != nil {
